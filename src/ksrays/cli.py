@@ -38,7 +38,7 @@ from .entropy import (
 from . import pauli
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad command input: unknown name, unreadable or malformed file."""
 
 
@@ -122,10 +122,7 @@ def _cmd_signature(args) -> int:
 def _cmd_reduce(args) -> int:
     config = _load_input(args.input, args.dim, args.count)
     t0 = time.perf_counter()
-    try:
-        report = critical_reduce(config)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = critical_reduce(config)
     for i, st in enumerate(report.iterations, 1):
         _say(
             f"iteration {i}: parents={len(st.parents)} m={st.survivors} "
@@ -221,10 +218,7 @@ def _cmd_colour(args) -> int:
         partition = tuple(int(x) for x in args.partition.split(","))
     except ValueError as exc:
         raise InputError(f"bad partition {args.partition!r}") from exc
-    try:
-        col = find_partition_colouring(config, partition)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    col = find_partition_colouring(config, partition)
     if col is None:
         _say(f"no colouring of {args.input} is compatible with {partition}")
         return 1
@@ -306,11 +300,8 @@ def _cmd_pauli(args) -> int:
     if args.action == "eigenrays":
         if len(args.words) != 7:
             raise InputError("eigenrays needs exactly 7 Pauli words")
-        try:
-            words = [pauli.word(t) for t in args.words]
-            rays = pauli.joint_eigenrays(words)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        words = [pauli.word(t) for t in args.words]
+        rays = pauli.joint_eigenrays(words)
         config = Configuration(rays)
         sys.stdout.write(dump_vectors(config))
         _say(f"{len(rays)} joint eigenrays")
@@ -409,7 +400,8 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input, unreadable files and failed library preconditions.
         _say(f"error: {exc}")
         return 2
 

@@ -1,8 +1,9 @@
 """Decision procedures for KS and partition-compatible colourings.
 
-KS colourability is decided by a clique-driven search: one ray per
-maximal clique is chosen to carry the value 1, orthogonal rays are forced
-to 0, and the search backtracks over the most-constrained clique first.
+KS colourability is decided by the anticlique-section search of
+:mod:`orthograph`: one ray per maximal clique is chosen to carry the
+value 1, orthogonal rays are forced to 0, and the search backtracks over
+the most-constrained clique first.
 A naive alternative, enumerating every independent set and testing the
 one-per-clique condition, is equivalent but far larger; the two are
 cross-checked in the test suite on small instances.
@@ -13,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rays import Configuration
-from .orthograph import maximal_cliques, signature, Signature
+from .orthograph import (
+    Signature,
+    _section_masks,
+    clique_masks,
+    maximal_cliques,
+    signature,
+)
 
 
 @dataclass(frozen=True)
@@ -72,57 +79,16 @@ def find_ks_colouring(config: Configuration) -> Colouring | None:
     The returned witness is the first found in deterministic
     clique/ray-index order.
     """
-    ones = _ks_ones(config)
-    if ones is None:
+    got = _section_masks(config.adj, clique_masks(config))
+    if got is None:
         return None
-    values = tuple(1 if i in ones else 0 for i in range(config.n))
+    values = tuple((got >> i) & 1 for i in range(config.n))
     return Colouring(values, (config.dim - 1, 1))
-
-
-def _ks_ones(config: Configuration) -> frozenset[int] | None:
-    """The 1-set of a KS colouring as a frozenset, or None."""
-    cliques = [sum(1 << v for v in c) for c in maximal_cliques(config)]
-    if not cliques:
-        # No d-clique constrains anything; the all-zero function works.
-        return frozenset()
-    n = config.n
-    rows = config.adj
-
-    def search(ones: int, zeros: int) -> int | None:
-        best = None
-        best_cand = None
-        for mask in cliques:
-            if mask & ones:
-                continue
-            cand = mask & ~zeros
-            cnt = cand.bit_count()
-            if cnt == 0:
-                return None
-            if best is None or cnt < best:
-                best, best_cand = cnt, cand
-                if cnt == 1:
-                    break
-        if best is None:
-            return ones
-        cand = best_cand
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            got = search(ones | low, zeros | rows[v])
-            if got is not None:
-                return got
-        return None
-
-    result = search(0, 0)
-    if result is None:
-        return None
-    return frozenset(i for i in range(n) if (result >> i) & 1)
 
 
 def is_ks_configuration(config: Configuration) -> bool:
     """True iff the configuration admits no KS colouring."""
-    return _ks_ones(config) is None
+    return _section_masks(config.adj, clique_masks(config)) is None
 
 
 def is_critical(config: Configuration) -> bool:
@@ -215,14 +181,6 @@ def find_partition_colouring(
                 values[v] = 0
         return Colouring(tuple(values), part)
     return None
-
-
-def _noncolourable_deletions(config: Configuration) -> list[int]:
-    return [
-        i
-        for i in range(config.n)
-        if is_ks_configuration(config.delete(i))
-    ]
 
 
 def critical_reduce(parent: Configuration) -> CriticalReport:

@@ -16,13 +16,12 @@ from functools import lru_cache
 from itertools import combinations
 
 from .rays import (
-    Configuration,
     Ray,
     build_configuration,
     make_ray,
     scaled_ray,
 )
-from .orthograph import capacity, maximal_cliques
+from .orthograph import _bits, capacity, clique_masks
 
 
 def _vec(text: str) -> tuple[int, ...]:
@@ -372,42 +371,33 @@ class CapacityPipelineReport:
     m_found: bool  # some union at m_capacity equals the 64-ray set
 
 
-def _union_capacity(config: Configuration, rayset: frozenset[int]) -> int:
-    return capacity(config.restrict(rayset))
+def _union_capacity(masks: tuple[int, ...], union: int) -> int:
+    """Capacity of a union of rays: the parent's d-cliques inside it."""
+    return sum(1 for c in masks if c & union == c)
 
 
 def capacity_pipeline() -> CapacityPipelineReport:
     """Reproduce the maximal-capacity search from A and T(A) up to M."""
     a = builtin("A")
     t = build_transform_T()
+    cliques = clique_masks(a)
 
-    def stage_sets(config: Configuration):
-        cliques = [frozenset(c) for c in maximal_cliques(config)]
-        pair_caps: set[int] = set()
-        w: set[frozenset[int]] = set()
-        for c0, c1 in combinations(cliques, 2):
-            if c0 & c1:
-                continue
-            u = c0 | c1
-            cap = _union_capacity(config, u)
-            pair_caps.add(cap)
-            if cap == 4:
-                w.add(u)
-        w_list = sorted(w, key=sorted)
-        w_pair_caps: set[int] = set()
-        q: set[frozenset[int]] = set()
-        for w0, w1 in combinations(w_list, 2):
-            if w0 & w1:
-                continue
-            u = w0 | w1
-            cap = _union_capacity(config, u)
-            w_pair_caps.add(cap)
-            if cap == 24:
-                q.add(u)
-        q_list = sorted(q, key=sorted)
-        return pair_caps, w_list, w_pair_caps, q_list
+    def pair_unions(sets: list[int], target: int):
+        """Capacities of the disjoint pairs' unions; those at target."""
+        caps: set[int] = set()
+        hits: set[int] = set()
+        for s0, s1 in combinations(sets, 2):
+            if not s0 & s1:
+                cap = _union_capacity(cliques, s0 | s1)
+                caps.add(cap)
+                if cap == target:
+                    hits.add(s0 | s1)
+        return caps, sorted(hits, key=_bits)
 
-    pair_caps, w_list, w_pair_caps, q_list = stage_sets(a)
+    pair_caps, w_masks = pair_unions(cliques, 4)
+    w_pair_caps, q_masks = pair_unions(w_masks, 24)
+    w_list = [frozenset(_bits(u)) for u in w_masks]
+    q_list = [frozenset(_bits(u)) for u in q_masks]
 
     # Mirror the Q sets through T into T(A).
     q_mirrors = [
@@ -419,22 +409,19 @@ def capacity_pipeline() -> CapacityPipelineReport:
     # Pair search runs inside B = A union T(A), where both halves embed.
     b = builtin("B")
     ray_index = {r: i for i, r in enumerate(b.rays)}
-    q_idx = [
-        frozenset(ray_index[a.rays[k]] for k in q) for q in q_list
-    ]
-    qm_idx = [
-        frozenset(ray_index[r] for r in qm) for qm in q_mirrors
-    ]
+    q_idx = [sum(1 << ray_index[a.rays[k]] for k in q) for q in q_list]
+    qm_idx = [sum(1 << ray_index[r] for r in qm) for qm in q_mirrors]
 
+    b_cliques = clique_masks(b)
     m_rays = frozenset(builtin("M").rays)
     caps: dict[tuple[int, int], int] = {}
     m_pair = None
     for i, qi in enumerate(q_idx):
         for j, qj in enumerate(qm_idx):
             union = qi | qj
-            caps[(i, j)] = capacity(b.restrict(union))
+            caps[(i, j)] = _union_capacity(b_cliques, union)
             if m_pair is None and frozenset(
-                b.rays[k] for k in union
+                b.rays[k] for k in _bits(union)
             ) == m_rays:
                 m_pair = (i, j)
     histogram: dict[int, int] = {}

@@ -2,7 +2,9 @@
 
 The enumeration kernel is an ordered backtracking over index-increasing
 extensions with bitset candidate intersection; anticlique counting reuses
-the same kernel on the complement graph.
+the same kernel on the complement graph.  The d-cliques are cached on
+each configuration as bitmasks and inherited by its restrictions; the
+anticlique-section search over them also decides KS colourability.
 """
 
 from __future__ import annotations
@@ -98,33 +100,86 @@ def count_anticliques(config: Configuration, k: int) -> int:
     return ac[k - 1] if k <= len(ac) else 0
 
 
-def maximal_cliques(config: Configuration) -> list[tuple[int, ...]]:
-    """All cliques of size d, as index tuples in lexicographic order.
+def clique_masks(config: Configuration) -> tuple[int, ...]:
+    """All cliques of size d as bitmasks, lexicographic (cached per instance).
 
     Every configuration in scope has clique number d; use
     :func:`is_saturated` to detect smaller dead-end cliques.
     """
+    cached = config._cliques
+    if cached is not None:
+        return cached
     d = config.dim
     rows = config.adj
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
+    out: list[int] = []
 
-    def rec(cand: int, size: int) -> None:
+    def rec(cand: int, size: int, clique: int) -> None:
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
             cand ^= low
-            stack.append(v)
             if size + 1 == d:
-                out.append(tuple(stack))
+                out.append(clique | low)
             else:
-                nxt = cand & rows[v]
-                if nxt and nxt.bit_count() >= d - size - 1:
-                    rec(nxt, size + 1)
-            stack.pop()
+                nxt = cand & rows[low.bit_length() - 1]
+                if nxt.bit_count() >= d - size - 1:
+                    rec(nxt, size + 1, clique | low)
 
-    rec((1 << config.n) - 1, 0)
-    return out
+    rec((1 << config.n) - 1, 0, 0)
+    masks = tuple(out)
+    object.__setattr__(config, "_cliques", masks)
+    return masks
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def maximal_cliques(config: Configuration) -> list[tuple[int, ...]]:
+    """All cliques of size d, as index tuples in lexicographic order."""
+    return [_bits(m) for m in clique_masks(config)]
+
+
+def _section_masks(rows, masks) -> int | None:
+    """Independent-transversal search over clique bitmasks.
+
+    Returns the picked ray set as a bitmask, or None if no section
+    exists.  Each node branches on the unsatisfied clique with the
+    fewest candidates, ties to the lowest index, and forbids the
+    neighbours of every pick.  A KS colouring is exactly a section of
+    all d-cliques.
+    """
+
+    def rec(forbidden: int, picked: int) -> int | None:
+        best_cand = 0
+        best_cnt = None
+        for mask in masks:
+            if mask & picked:
+                continue  # already satisfied by an earlier pick
+            cand = mask & ~forbidden
+            cnt = cand.bit_count()
+            if cnt == 0:
+                return None
+            if best_cnt is None or cnt < best_cnt:
+                best_cand, best_cnt = cand, cnt
+                if cnt == 1:
+                    break
+        if best_cnt is None:
+            return picked
+        cand = best_cand
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            got = rec(forbidden | rows[low.bit_length() - 1], picked | low)
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, 0)
 
 
 def is_saturated(config: Configuration):
@@ -193,14 +248,12 @@ def steiner_check(config: Configuration) -> bool:
 
 def capacity(config: Configuration) -> int:
     """Number of d-cliques of the configuration."""
-    if config.n == 0:
-        return 0
-    return count_cliques(config, config.dim)
+    return len(clique_masks(config))
 
 
 def max_clique_intersections(config: Configuration) -> set[int]:
     """Set of |U & U'| over distinct maximal (size-d) cliques."""
-    cliques = [sum(1 << v for v in c) for c in maximal_cliques(config)]
+    cliques = clique_masks(config)
     sizes: set[int] = set()
     for i, a in enumerate(cliques):
         for b in cliques[i + 1 :]:

@@ -170,7 +170,7 @@ class Configuration:
     order and is deterministic.
     """
 
-    __slots__ = ("rays", "dim", "n", "adj", "_signature")
+    __slots__ = ("rays", "dim", "n", "adj", "_signature", "_cliques")
 
     def __init__(self, rays: Sequence[Ray], adj: Sequence[int] | None = None):
         rays = tuple(rays)
@@ -202,6 +202,7 @@ class Configuration:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_signature", None)
+        object.__setattr__(self, "_cliques", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -221,23 +222,56 @@ class Configuration:
     def restrict(self, indices: Iterable[int]) -> "Configuration":
         """Subconfiguration on the given ray indices, in sorted order.
 
-        The adjacency is re-indexed from the existing rows rather than
-        recomputed from inner products.
+        The child is built without re-validation: its adjacency rows and
+        d-clique masks are the parent's, compressed to the kept indices.
+        The d-cliques of an induced subgraph are exactly the parent's
+        d-cliques inside it, and the compression keeps their order.
         """
+        from .orthograph import clique_masks
+
         idx = sorted(set(indices))
-        pos = {v: k for k, v in enumerate(idx)}
-        rows = []
-        for v in idx:
-            row = 0
-            r = self.adj[v]
-            for w in idx:
-                if (r >> w) & 1:
-                    row |= 1 << pos[w]
-            rows.append(row)
-        return Configuration([self.rays[i] for i in idx], rows)
+        keep = sum(1 << i for i in idx)
+        runs = _runs(keep)
+        child = object.__new__(Configuration)
+        put = object.__setattr__
+        put(child, "rays", tuple(self.rays[i] for i in idx))
+        put(child, "dim", self.dim if idx else 0)
+        put(child, "n", len(idx))
+        put(child, "adj", _compress([self.adj[i] for i in idx], runs))
+        put(child, "_signature", None)
+        put(child, "_cliques", _compress(
+            [c for c in clique_masks(self) if c & keep == c], runs
+        ))
+        return child
 
     def delete(self, index: int) -> "Configuration":
         return self.restrict(i for i in range(self.n) if i != index)
+
+
+def _runs(keep: int) -> list[tuple[int, int, int]]:
+    """Maximal runs of set bits as (low bit, width mask, packed offset)."""
+    runs = []
+    dest = 0
+    while keep:
+        lo = (keep & -keep).bit_length() - 1
+        run = keep >> lo
+        width = (~run & (run + 1)).bit_length() - 1  # trailing ones of run
+        mask = (1 << width) - 1
+        runs.append((lo, mask, dest))
+        dest += width
+        keep ^= mask << lo
+    return runs
+
+
+def _compress(words: list[int], runs) -> tuple[int, ...]:
+    """Each word's bits inside the runs, packed to the low end in order."""
+    out = []
+    for w in words:
+        x = 0
+        for lo, width, dest in runs:
+            x |= (w >> lo & width) << dest
+        out.append(x)
+    return tuple(out)
 
 
 def build_configuration(rays: Sequence[Ray]) -> Configuration:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .rays import Configuration
-from .orthograph import maximal_cliques, signature
+from .orthograph import _bits, _section_masks, clique_masks
 
 
 @dataclass(frozen=True)
@@ -24,52 +24,6 @@ class TropicalWitness:
 
     clique_indices: tuple[int, ...]  # into the parent's maximal-clique list
     union: frozenset[int]  # ray indices
-
-
-def _clique_masks(parent: Configuration) -> list[int]:
-    return [sum(1 << v for v in c) for c in maximal_cliques(parent)]
-
-
-def _section_masks(rows, masks: list[int]) -> int | None:
-    """Independent-transversal search over clique bitmasks.
-
-    Returns the picked ray set as a bitmask, or None if no section
-    exists.  Cliques are processed fewest-candidates-first with
-    exclusion propagation through the adjacency bitsets.
-    """
-
-    def rec(pending: list[int], forbidden: int, picked: int) -> int | None:
-        if not pending:
-            return picked
-        # fail-first: most constrained clique
-        best_i = -1
-        best_cand = 0
-        best_cnt = None
-        for i, mask in enumerate(pending):
-            if mask & picked:
-                continue  # already satisfied by an earlier pick
-            cand = mask & ~forbidden
-            cnt = cand.bit_count()
-            if cnt == 0:
-                return None
-            if best_cnt is None or cnt < best_cnt:
-                best_i, best_cand, best_cnt = i, cand, cnt
-                if cnt == 1:
-                    break
-        if best_cnt is None:
-            return picked
-        rest = pending[:best_i] + pending[best_i + 1 :]
-        cand = best_cand
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            got = rec(rest, forbidden | rows[v], picked | low)
-            if got is not None:
-                return got
-        return None
-
-    return rec(masks, 0, 0)
 
 
 def admits_anticlique_section(
@@ -82,18 +36,17 @@ def admits_anticlique_section(
     """
     if not cliques:
         raise ValueError("empty clique collection")
-    d = parent.dim
-    valid = set(map(frozenset, maximal_cliques(parent)))
+    valid = set(clique_masks(parent))
     masks = []
     for c in cliques:
-        cs = frozenset(c)
-        if cs not in valid:
-            raise ValueError(f"{sorted(cs)} is not a maximal clique of the parent")
-        masks.append(sum(1 << v for v in cs))
+        mask = 0
+        for v in c:
+            mask |= 1 << v
+        if mask not in valid:
+            raise ValueError(f"{sorted(set(c))} is not a maximal clique of the parent")
+        masks.append(mask)
     got = _section_masks(parent.adj, masks)
-    if got is None:
-        return None
-    return frozenset(i for i in range(parent.n) if (got >> i) & 1)
+    return None if got is None else frozenset(_bits(got))
 
 
 def _disjoint_tuples(masks: list[int], size: int):
@@ -143,15 +96,14 @@ def tropical_dimension(
     ``exhaustive=True``, every level is a full enumeration (long run).
     """
     rng = rng or random.Random(20240901)
-    masks = _clique_masks(config)
+    masks = clique_masks(config)
     m = len(masks)
     rows = config.adj
 
     # Precondition: every orthogonal pair lies in some d-clique.
     covered = [0] * config.n
     for mask in masks:
-        vs = [i for i in range(config.n) if (mask >> i) & 1]
-        for v in vs:
+        for v in _bits(mask):
             covered[v] |= mask & ~(1 << v)
     for i in range(config.n):
         extra = config.adj[i] & ~covered[i]
@@ -172,21 +124,21 @@ def tropical_dimension(
         if pool is not None:
             for tup in pool:
                 if _section_masks(rows, [masks[i] for i in tup]) is None:
-                    witnesses.append(_witness(config, masks, tup))
+                    witnesses.append(_witness(masks, tup))
             if witnesses:
                 return n, witnesses
             continue
         # Restricted top level: disjoint tuples plus an overlap sample.
         for tup in _disjoint_tuples(masks, n):
             if _section_masks(rows, [masks[i] for i in tup]) is None:
-                witnesses.append(_witness(config, masks, tup))
+                witnesses.append(_witness(masks, tup))
         for tup in _sampled_tuples(m, n, sample_per_n, rng):
             if any(
                 masks[a] & masks[b]
                 for a, b in combinations(tup, 2)
             ):
                 if _section_masks(rows, [masks[i] for i in tup]) is None:
-                    witnesses.append(_witness(config, masks, tup))
+                    witnesses.append(_witness(masks, tup))
         for w in witnesses:
             ms = [masks[i] for i in w.clique_indices]
             if any(a & b for a, b in combinations(ms, 2)):
@@ -199,14 +151,11 @@ def tropical_dimension(
     return None
 
 
-def _witness(config, masks, tup) -> TropicalWitness:
+def _witness(masks, tup) -> TropicalWitness:
     union = 0
     for i in tup:
         union |= masks[i]
-    return TropicalWitness(
-        tuple(tup),
-        frozenset(i for i in range(config.n) if (union >> i) & 1),
-    )
+    return TropicalWitness(tuple(tup), frozenset(_bits(union)))
 
 
 def _sampled_tuples(m: int, n: int, count: int, rng: random.Random):
@@ -232,16 +181,40 @@ def iter_witnesses(
     The optional progress callback receives (position, total) every
     progress_every subsets.
     """
-    masks = _clique_masks(config)
+    if start < 0:
+        raise ValueError("start position must be non-negative")
+    masks = clique_masks(config)
     rows = config.adj
     total = math.comb(len(masks), n)
-    for pos, tup in enumerate(combinations(range(len(masks)), n)):
-        if pos < start:
-            continue
+    for pos, tup in enumerate(_combinations_from(len(masks), n, start), start):
         if progress is not None and pos % progress_every == 0:
             progress(pos, total)
         if _section_masks(rows, [masks[i] for i in tup]) is None:
             yield pos, tup
+
+
+def _combinations_from(m: int, n: int, start: int):
+    """The n-subsets of range(m) in lexicographic order, from rank start on.
+
+    The start-th subset is unranked with binomial coefficients; every
+    later one keeps a prefix of it and is larger at the next place, so
+    nothing before the start is generated.
+    """
+    if start >= math.comb(m, n):
+        return
+    first = []
+    x = 0
+    for j in range(n, 0, -1):
+        while start >= (c := math.comb(m - x - 1, j - 1)):
+            start -= c
+            x += 1
+        first.append(x)
+        x += 1
+    yield tuple(first)
+    for j in range(n - 1, -1, -1):
+        head = tuple(first[:j])
+        for tail in combinations(range(first[j] + 1, m), n - j):
+            yield head + tail
 
 
 def enumerate_tropical_subconfigurations(

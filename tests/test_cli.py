@@ -118,6 +118,33 @@ class TestEntropy:
         assert code == 2
         assert "probability weight" in err
 
+    def test_missing_witness_file_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code, _, err = run(capsys, "entropy", "M", "--witness", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "absent.txt" in err
+
+    def test_unsaturated_input_is_an_error(self, capsys):
+        code, out, err = run(capsys, "entropy", "N")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: configuration is not saturated")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestTropical:
+    def test_uncovered_orthogonal_pair_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("1 0 0\n0 1 0\n")
+        code, out, err = run(capsys, "tropical", str(path), "--dim", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: orthogonal pair (0, 1)")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestPauli:
     def test_lines_listed(self, capsys):

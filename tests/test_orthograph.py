@@ -16,6 +16,7 @@ from ksrays.rays import Configuration, make_ray
 from ksrays.orthograph import (
     Signature,
     capacity,
+    clique_masks,
     count_anticliques,
     count_cliques,
     is_saturated,
@@ -38,13 +39,28 @@ def brute_clique_counts(config: Configuration) -> list[int]:
     return counts[1:]
 
 
-def small_configs(seed: int, count: int, m: Configuration):
+def small_configs(
+    seed: int, count: int, m: Configuration, low: int = 2, high: int = 12,
+    chain: bool = False,
+):
+    """Seeded random restrictions of m with low..high rays.
+
+    With chain, each is followed by a restriction of it and by a
+    two-step deletion chain from it.
+    """
     import random
 
     rng = random.Random(seed)
     for _ in range(count):
-        size = rng.randint(2, 12)
-        yield m.restrict(rng.sample(range(m.n), size))
+        size = rng.randint(low, high)
+        sub = m.restrict(rng.sample(range(m.n), size))
+        yield sub
+        if chain:
+            yield sub.restrict(
+                rng.sample(range(sub.n), rng.randint(sub.n // 2, sub.n))
+            )
+            first = sub.delete(rng.randrange(sub.n))
+            yield first.delete(rng.randrange(first.n))
 
 
 class TestSignature:
@@ -92,6 +108,24 @@ class TestMaximalCliques:
 
     def test_matches_clique_count_row(self, t0_config):
         assert len(maximal_cliques(t0_config)) == signature(t0_config).cliques[-1]
+
+
+class TestSubconfigurations:
+    """Restrictions inherit the parent's clique masks and adjacency; both
+    must equal what a configuration built from the same rays computes."""
+
+    @pytest.mark.parametrize("name, seed", [("M", 21), ("E8", 22), ("B", 23)])
+    def test_inherited_data_matches_fresh_build(self, name, seed):
+        parent = builtin(name)
+        subs = list(
+            small_configs(seed, 3, parent, parent.n // 2, parent.n - 4, chain=True)
+        )
+        assert sum(capacity(sub) > 0 for sub in subs) >= 3
+        for sub in subs:
+            fresh = Configuration(sub.rays)
+            assert sub.adj == fresh.adj
+            assert clique_masks(sub) == clique_masks(fresh)
+            assert capacity(sub) == count_cliques(sub, sub.dim)
 
 
 class TestSaturation:

@@ -15,6 +15,7 @@ import pytest
 from ksrays import builtin
 from ksrays.datasets import T0_INDICES
 from ksrays.orthograph import maximal_cliques
+from ksrays.rays import Configuration, make_ray
 from ksrays.tropical import (
     _disjoint_tuples,
     admits_anticlique_section,
@@ -143,6 +144,26 @@ class TestTropicalDimension:
         assert nine == [(0, tuple(range(9)))]
         assert list(iter_witnesses(cfg, 9, start=1)) == []
         assert full == nine
+        # Three more rays add five bases: 14 cliques, and 23 witnesses
+        # spread over the 364 eleven-subsets.  The stream resumed at any
+        # position is the suffix of the full stream, and its positions
+        # count every subset from there on.
+        cfg = Configuration(
+            list(cfg.rays)
+            + [make_ray(v) for v in ((1, 0, 0, 0), (0, 0, 1, -1), (0, 1, 1, 0))]
+        )
+        full = list(iter_witnesses(cfg, 11))
+        assert len(full) == 23
+        for k in range(366):
+            seen = []
+            got = list(
+                iter_witnesses(
+                    cfg, 11, start=k, progress=lambda p, t: seen.append(p),
+                    progress_every=1,
+                )
+            )
+            assert got == [w for w in full if w[0] >= k]
+            assert seen == list(range(k, 364))
 
     def test_progress_callback_reports_positions(self):
         cfg = eighteen_ray_config()
