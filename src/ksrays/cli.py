@@ -336,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ksrays",
         description="Exact analysis of Kochen-Specker ray configurations.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker parallelism cap (results are identical for any value; "
-        "the current implementation runs single-process)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="saturated / KS / critical / Steiner flags")
@@ -396,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

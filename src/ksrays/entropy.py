@@ -3,9 +3,9 @@
 A probability weight assigns every ray a value in [0, 1] so that each
 maximal clique sums to 1; it is equientropic when all clique entropies
 coincide.  The infimum of the common entropy over equientropic weights
-has no known closed form, so :func:`minimize_entropy` reports certified
-UPPER bounds only: the returned value is always the recomputed entropy
-of an explicit validating witness.
+has no known closed form, so :func:`minimize_entropy` reports a
+certified UPPER bound: the exact best bound over two-part partition
+colourings, always the recomputed entropy of an explicit exact witness.
 
 Natural logarithm throughout; 0*log(0) = 0.
 """
@@ -97,14 +97,16 @@ def entropy_report(
     """
     if not validate_probability_weight(config, f):
         raise ValueError("not a valid probability weight")
+    exact = f.exact
     per: dict[tuple[int, ...], float] = {}
     multisets = set()
     for clique in maximal_cliques(config):
         vals = [f.values[v] for v in clique]
-        per[clique] = -sum(_xlogx(float(v)) for v in vals)
-        if f.exact:
+        # Summing negated terms keeps a zero entropy at +0.0.
+        per[clique] = sum(-_xlogx(float(v)) for v in vals)
+        if exact:
             multisets.add(tuple(sorted(vals)))
-    if f.exact:
+    if exact:
         equi = len(multisets) <= 1
     else:
         ents = list(per.values())
@@ -165,123 +167,27 @@ def weight_spec(config: Configuration, f: ProbabilityWeight) -> WeightSpec:
     return WeightSpec(tuple(distinct), nums, gamma, mult)
 
 
-def _two_value_entropy(n0: int, n1: int, w1: float) -> float:
-    # n0 rays at w0, n1 rays at w1 per clique; n0*w0 + n1*w1 = 1.
-    w0 = (1.0 - n1 * w1) / n0
-    return -(n0 * _xlogx(w0) + n1 * _xlogx(w1))
+def minimize_entropy(config: Configuration) -> EntropyReport:
+    """The smallest two-part colouring bound on the configuration entropy.
 
-
-def minimize_entropy(
-    config: Configuration,
-    partitions=None,
-    starts: int = 8,
-    seed: int = 7,
-) -> EntropyReport:
-    """Best upper bound on the configuration entropy found by search.
-
-    Combines (a) weights induced by two-part partition colourings with
-    the colour values optimized along the one-dimensional constraint
-    and (b) a penalized continuous descent over the clique-sum
-    constraint set from multiple random starts.  The reported bound is
-    the recomputed entropy of the returned witness, never the
-    optimizer's own objective.
+    A (d-a, a) colouring induces the equientropic weights with w0 on the
+    first class and w1 on the second, (d-a)*w0 + a*w1 = 1.  The clique
+    entropy is concave along that segment, so its minimum sits at an
+    endpoint, log(d-a) or log a.  Since a <= d/2 it is log a, reached
+    with weight 1/a on the a-class.  The bound is therefore log a for
+    the smallest a admitting such a colouring, or the uniform weight's
+    log d when none does.  The witness is exact and the reported bound
+    is its recomputed entropy.
     """
     _require_saturated(config)
     d = config.dim
-    n = config.n
-    cliques = maximal_cliques(config)
-
-    best_weight = ProbabilityWeight(tuple(Fraction(1, d) for _ in range(n)))
-    best_value = math.log(d) if cliques else 0.0
-    if not cliques:
-        # No clique constraints; weight 1 on one ray has zero entropy.
-        vals = [Fraction(0)] * n
-        if n:
-            vals[0] = Fraction(1)
-        best_weight = ProbabilityWeight(tuple(vals))
-        best_value = 0.0
-
-    if partitions is None:
-        partitions = [(d - a, a) for a in range(1, d // 2 + 1)]
-
-    for part in partitions:
-        col = find_partition_colouring(config, part)
-        if col is None:
-            continue
-        n0, n1 = part
-        # Endpoint w1 = 1/n1 zeroes the majority colour and is optimal
-        # for every partition examined here; a grid over the interior
-        # guards against surprises.
-        candidates = [Fraction(1, n1)]
-        for k in range(1, 20):
-            candidates.append(Fraction(k, 20 * n1))
-        for w1 in candidates:
-            w0 = Fraction(1 - n1 * w1, n0)
-            if w0 < 0 or w0 > 1 or w1 < 0 or w1 > 1:
-                continue
-            weight = weight_from_partition_colouring(config, col, (w0, w1))
-            rep = entropy_report(config, weight)
-            if rep.equientropic and rep.common_entropy < best_value - 1e-15:
-                best_value = rep.common_entropy
-                best_weight = weight
-
-    cont = _continuous_search(config, cliques, starts, seed)
-    if cont is not None:
-        weight, value = cont
-        if value < best_value - 1e-12:
-            best_value = value
-            best_weight = weight
-
-    rep = entropy_report(config, best_weight)
-    if not rep.equientropic:
-        raise AssertionError("search returned a non-equientropic witness")
-    return rep
-
-
-def _continuous_search(config, cliques, starts, seed):
-    """Penalized local descent over floating weights; None if scipy or
-    the search finds nothing valid."""
-    if not cliques:
-        return None
-    import numpy as np
-    from scipy.optimize import minimize
-
-    n = config.n
-    a_rows = np.zeros((len(cliques), n))
-    for i, c in enumerate(cliques):
-        a_rows[i, list(c)] = 1.0
-
-    def objective(x):
-        p = np.clip(x, 1e-12, 1.0)
-        ent = -(a_rows @ (np.where(x > 1e-12, x * np.log(p), 0.0)))
-        sums = a_rows @ x
-        mean = ent.mean()
-        return mean + 50.0 * np.sum((sums - 1.0) ** 2) + 50.0 * np.sum(
-            (ent - mean) ** 2
-        )
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(starts):
-        x0 = rng.uniform(0.0, 2.0 / config.dim, size=n)
-        res = minimize(
-            objective,
-            x0,
-            method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * n,
-            options={"maxiter": 400},
-        )
-        x = np.clip(res.x, 0.0, 1.0)
-        weight = ProbabilityWeight(tuple(float(v) for v in x))
-        try:
-            if not validate_probability_weight(config, weight, tol=1e-9):
-                continue
-        except ValueError:
-            continue
-        rep = entropy_report(config, weight)
-        if not rep.equientropic:
-            continue
-        value = max(rep.per_clique.values())
-        if best is None or value < best[1]:
-            best = (weight, value)
-    return best
+    for a in range(1, d // 2 + 1):
+        col = find_partition_colouring(config, (d - a, a))
+        if col is not None:
+            weight = weight_from_partition_colouring(
+                config, col, (Fraction(0), Fraction(1, a))
+            )
+            return entropy_report(config, weight)
+    return entropy_report(
+        config, ProbabilityWeight(tuple(Fraction(1, d) for _ in range(config.n)))
+    )

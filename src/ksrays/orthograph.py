@@ -26,13 +26,6 @@ class Signature:
     cliques: tuple[int, ...]
     anticliques: tuple[int, ...]
 
-    def rows(self) -> str:
-        return (
-            ", ".join(map(str, self.cliques))
-            + "\n"
-            + ", ".join(map(str, self.anticliques))
-        )
-
 
 def _size_counts(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
     """Count cliques of every size in a bitset-adjacency graph.

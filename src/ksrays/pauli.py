@@ -111,7 +111,15 @@ def product_sign(words) -> int | None:
 def enumerate_parity_tuples(n_qubits: int, s: int):
     """All index-increasing s-tuples of distinct non-identity, mutually
     commuting words whose product is +-identity; returns
-    [(words, sign), ...] sorted by encoded indices."""
+    [(words, sign), ...] sorted by encoded indices.
+
+    The word table grows as 4**n_qubits and the commutation table as
+    16**n_qubits, so n_qubits is limited to 1..4.
+    """
+    if not 1 <= n_qubits <= 4:
+        raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
+    if s < 1:
+        raise ValueError(f"tuple size must be at least 1, got {s}")
     total = 4**n_qubits
     words = [word_from_index(a, n_qubits) for a in range(1, total)]
     m = len(words)

@@ -126,7 +126,7 @@ def make_ray(coords: Iterable) -> Ray:
     return Ray(cs)
 
 
-def scaled_ray(numerators: Sequence, denominators_cleared: bool = True) -> Ray:
+def scaled_ray(numerators: Sequence) -> Ray:
     """Build a Ray from rational coordinates by clearing denominators.
 
     Accepts Fractions or ints; divides out the integer content before

@@ -125,6 +125,12 @@ class TestEntropy:
         assert "Traceback" not in err
         assert "absent.txt" in err
 
+    def test_zero_entropy_is_unsigned(self, capsys):
+        code, out, err = run(capsys, "entropy", "A")
+        assert code == 0
+        assert "entropy 0.0" in out.splitlines()
+        assert "equientropic at 0.000000000" in err
+
     def test_unsaturated_input_is_an_error(self, capsys):
         code, out, err = run(capsys, "entropy", "N")
         assert code == 2
@@ -161,6 +167,22 @@ class TestPauli:
         assert code == 0
         config = load_vectors(out, 8)
         assert config.n == 8
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--qubits", "-1", "n_qubits must be in 1..4"),
+            ("--qubits", "0", "n_qubits must be in 1..4"),
+            ("--qubits", "5", "n_qubits must be in 1..4"),
+            ("--size", "0", "tuple size must be at least 1"),
+        ],
+    )
+    def test_tuples_arguments_are_bounded(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "pauli", "tuples", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     def test_eigenrays_arity_checked(self, capsys):
         code, _, err = run(capsys, "pauli", "eigenrays", "XII")

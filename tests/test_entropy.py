@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
 from ksrays.colouring import find_partition_colouring
@@ -126,3 +129,44 @@ class TestMinimizeEntropy:
     def test_unsaturated_input_rejected(self, n_config):
         with pytest.raises(ValueError, match="saturated"):
             minimize_entropy(n_config)
+
+    def test_m_witness_is_exact_half_weight(self, m_config):
+        rep = minimize_entropy(m_config)
+        values = rep.witness.values
+        assert all(isinstance(v, Fraction) for v in values)
+        assert set(values) == {Fraction(0), Fraction(1, 2)}
+        assert abs(rep.common_entropy - math.log(2)) < 1e-12
+
+    def test_a_and_b_bounds(self):
+        assert minimize_entropy(builtin("A")).common_entropy == 0.0
+        rep = minimize_entropy(builtin("B"))
+        assert abs(rep.common_entropy - math.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("partition", [(6, 2), (4, 4)])
+    def test_two_part_weights_never_beat_log_a(self, m_config, partition):
+        # The entropy is concave along the clique-sum segment, so no
+        # interior point of it lies below the endpoint bound log a.
+        col = find_partition_colouring(m_config, partition)
+        rest, a = partition
+
+        @settings(max_examples=12, deadline=None)
+        @given(st.fractions(min_value=0, max_value=Fraction(1, a)))
+        def check(w1):
+            w = weight_from_partition_colouring(
+                m_config, col, ((1 - a * w1) / rest, w1)
+            )
+            rep = entropy_report(m_config, w)
+            assert rep.common_entropy >= math.log(a) - 1e-12
+
+        check()
+
+
+def test_runs_without_numpy_or_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    for name in [k for k in sys.modules if k.split(".")[0] == "ksrays"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("ksrays.cli")
+    fresh = importlib.import_module("ksrays")
+    rep = fresh.minimize_entropy(fresh.builtin("M"))
+    assert abs(rep.common_entropy - math.log(2)) < 1e-12
