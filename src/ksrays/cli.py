@@ -150,7 +150,7 @@ def _cmd_tropical(args) -> int:
         _say(f"no section-free collection up to {max_n} cliques")
         return 1
     n, witnesses = got
-    unions = sorted({tuple(sorted(w.union)) for w in witnesses})
+    unions = sorted(tuple(sorted(u)) for u in {w.union for w in witnesses})
     _say(
         f"tropical dimension {n}: {len(witnesses)} witness collection(s), "
         f"{len(unions)} distinct union(s) ({time.perf_counter() - t0:.2f}s)"

@@ -51,6 +51,11 @@ def admits_anticlique_section(
 
 def _disjoint_tuples(masks: list[int], size: int):
     """Yield index tuples of pairwise-disjoint clique masks, lexicographic."""
+    return (tup for tup, _ in _disjoint_unions(masks, size))
+
+
+def _disjoint_unions(masks: list[int], size: int):
+    """Yield (index tuple, union mask) of pairwise-disjoint clique masks."""
     m = len(masks)
     # Precompute compatibility bitsets over clique indices.
     compat = [0] * m
@@ -61,21 +66,21 @@ def _disjoint_tuples(masks: list[int], size: int):
 
     out: list[int] = []
 
-    def rec(cand: int, depth: int):
+    def rec(cand: int, depth: int, union: int):
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
             out.append(i)
             if depth + 1 == size:
-                yield tuple(out)
+                yield tuple(out), union | masks[i]
             else:
                 nxt = cand & compat[i]
                 if nxt.bit_count() >= size - depth - 1:
-                    yield from rec(nxt, depth + 1)
+                    yield from rec(nxt, depth + 1, union | masks[i])
             out.pop()
 
-    yield from rec((1 << m) - 1, 0)
+    yield from rec((1 << m) - 1, 0, 0)
 
 
 def tropical_dimension(
@@ -91,9 +96,15 @@ def tropical_dimension(
     max_n admits a section.  In the default (non-exhaustive) mode,
     levels below the first failing one are sampled rather than fully
     enumerated, and the failing level is searched over pairwise-disjoint
-    tuples plus a random sample of overlapping ones; every witness found
-    is checked to have pairwise-disjoint members.  With
-    ``exhaustive=True``, every level is a full enumeration (long run).
+    tuples plus a random sample of overlapping ones; a section-free
+    overlapping tuple raises AssertionError.  With ``exhaustive=True``,
+    every level is a full enumeration (long run).
+
+    The sections of n pairwise-disjoint cliques with union U are exactly
+    the independent n-sets of the graph on U: a clique holds at most one
+    pick, so n picks meet each of the n cliques once.  The verdict thus
+    depends on U alone, and the disjoint scan decides each distinct
+    union once; its witnesses share one ray set per union.
     """
     rng = rng or random.Random(20240901)
     masks = clique_masks(config)
@@ -128,25 +139,23 @@ def tropical_dimension(
             if witnesses:
                 return n, witnesses
             continue
-        # Restricted top level: disjoint tuples plus an overlap sample.
-        for tup in _disjoint_tuples(masks, n):
-            if _section_masks(rows, [masks[i] for i in tup]) is None:
-                witnesses.append(_witness(masks, tup))
+        # Restricted top level: disjoint tuples, decided once per union,
+        # plus an overlap sample.
+        free: dict[int, frozenset[int] | None] = {}
+        for tup, union in _disjoint_unions(masks, n):
+            if union not in free:
+                no_section = _section_masks(rows, [masks[i] for i in tup]) is None
+                free[union] = frozenset(_bits(union)) if no_section else None
+            if free[union] is not None:
+                witnesses.append(TropicalWitness(tup, free[union]))
         for tup in _sampled_tuples(m, n, sample_per_n, rng):
             if any(
-                masks[a] & masks[b]
-                for a, b in combinations(tup, 2)
-            ):
-                if _section_masks(rows, [masks[i] for i in tup]) is None:
-                    witnesses.append(_witness(masks, tup))
-        for w in witnesses:
-            ms = [masks[i] for i in w.clique_indices]
-            if any(a & b for a, b in combinations(ms, 2)):
+                masks[a] & masks[b] for a, b in combinations(tup, 2)
+            ) and _section_masks(rows, [masks[i] for i in tup]) is None:
                 raise AssertionError(
                     "witness with overlapping cliques found; rerun exhaustively"
                 )
         if witnesses:
-            witnesses.sort(key=lambda w: w.clique_indices)
             return n, witnesses
     return None
 
@@ -230,5 +239,5 @@ def enumerate_tropical_subconfigurations(
         if got is None:
             return []
         _, witnesses = got
-    unions = sorted({tuple(sorted(w.union)) for w in witnesses})
+    unions = sorted(tuple(sorted(u)) for u in {w.union for w in witnesses})
     return [config.restrict(u) for u in unions]

@@ -8,13 +8,13 @@ disjoint-tuple generator on small instances.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 
 from ksrays import builtin
-from ksrays.datasets import T0_INDICES
-from ksrays.orthograph import maximal_cliques
+from ksrays.datasets import T0_INDICES, TROPICAL_INDEX_SETS
+from ksrays.orthograph import _bits, _section_masks, clique_masks, maximal_cliques
 from ksrays.rays import Configuration, make_ray
 from ksrays.tropical import (
     _disjoint_tuples,
@@ -38,6 +38,37 @@ def eighteen_ray_config():
         (-1, 1, 1, 1),
     ]
     return Configuration([make_ray(v) for v in vectors])
+
+
+def covers_orthogonal_pairs(config, keep: int) -> bool:
+    """Every orthogonal pair inside ``keep`` lies in a d-clique inside it."""
+    covered = {}
+    for c in clique_masks(config):
+        if c & ~keep == 0:
+            for v in _bits(c):
+                covered[v] = covered.get(v, 0) | c
+    return all(config.adj[v] & keep & ~covered.get(v, 0) == 0 for v in _bits(keep))
+
+
+def m_minus_overlapping_pair(m):
+    """M without the first overlapping pair of removable cliques.
+
+    A clique is removable when M without its rays still has every
+    orthogonal pair inside a clique; the first overlapping pair whose
+    joint removal keeps that property leaves 52 rays and 184 cliques.
+    """
+    masks = clique_masks(m)
+    full = (1 << m.n) - 1
+    removable = [
+        i for i, c in enumerate(masks) if covers_orthogonal_pairs(m, full & ~c)
+    ]
+    removed = next(
+        masks[i] | masks[j]
+        for i, j in combinations(removable, 2)
+        if masks[i] & masks[j]
+        and covers_orthogonal_pairs(m, full & ~(masks[i] | masks[j]))
+    )
+    return m.restrict(v for v in range(m.n) if not (removed >> v) & 1)
 
 
 def cliques_inside(config, index_set):
@@ -177,3 +208,51 @@ class TestTropicalDimension:
         positions = [p for p, _ in seen]
         assert positions == sorted(positions)
         assert all(t == 126 for _, t in seen)
+
+
+class TestUnionVerdict:
+    """The restricted top level decides each disjoint union once; the
+    direct per-tuple section test is the oracle."""
+
+    def test_disjoint_verdict_is_tropical_union_membership(self, m_config):
+        masks = clique_masks(m_config)
+        tropical = {sum(1 << v for v in t) for t in TROPICAL_INDEX_SETS}
+        rng = random.Random(2024)
+        verdicts = set()
+        checked = 0
+        while checked < 2000:
+            tup, union = [], 0
+            for _ in range(6):
+                cand = [i for i, c in enumerate(masks) if not c & union]
+                if not cand:
+                    break
+                i = rng.choice(cand)
+                tup.append(i)
+                union |= masks[i]
+            else:
+                free = _section_masks(m_config.adj, [masks[i] for i in tup]) is None
+                assert free == (union in tropical), sorted(tup)
+                verdicts.add(free)
+                checked += 1
+        assert verdicts == {True, False}
+
+    def test_witnesses_match_per_tuple_scan(self, m_config):
+        sub = m_minus_overlapping_pair(m_config)
+        masks = clique_masks(sub)
+        assert (sub.n, len(masks)) == (52, 184)
+        got = tropical_dimension(sub, 6)
+        assert got is not None and got[0] == 6
+        head = [w for w in got[1] if w.clique_indices[0] == 0]
+        direct = [
+            tup
+            for tup in takewhile(lambda t: t[0] == 0, _disjoint_tuples(masks, 6))
+            if _section_masks(sub.adj, [masks[i] for i in tup]) is None
+        ]
+        assert len(direct) == 2568
+        assert [w.clique_indices for w in head] == direct
+        for w in head:
+            assert w.union == frozenset(
+                v for i in w.clique_indices for v in _bits(masks[i])
+            )
+        # One shared ray set per distinct union.
+        assert len({id(w.union) for w in got[1]}) == len({w.union for w in got[1]})
