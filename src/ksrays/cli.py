@@ -27,6 +27,7 @@ from .colouring import (
     find_partition_colouring,
     is_critical,
     is_ks_configuration,
+    parity_proof,
 )
 from .tropical import iter_witnesses, tropical_dimension
 from .entropy import (
@@ -220,7 +221,9 @@ def _cmd_colour(args) -> int:
         raise InputError(f"bad partition {args.partition!r}") from exc
     col = find_partition_colouring(config, partition)
     if col is None:
-        _say(f"no colouring of {args.input} is compatible with {partition}")
+        proof = parity_proof(config) if any(p % 2 for p in partition) else None
+        why = f": parity proof over {len(proof)} cliques" if proof else ""
+        _say(f"no colouring of {args.input} is compatible with {partition}{why}")
         return 1
     _say(f"found a colouring of {args.input} compatible with {partition}")
     print(" ".join(str(v) for v in col.values))

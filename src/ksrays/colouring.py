@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 from .rays import Configuration
 from .orthograph import (
     Signature,
+    _bits,
+    _gf2_eliminate,
+    _gf2_reduce,
     _section_masks,
     clique_masks,
     maximal_cliques,
@@ -117,16 +120,32 @@ def verify_partition_colouring(config: Configuration, colouring: Colouring) -> b
     return True
 
 
+def parity_proof(config: Configuration) -> tuple[int, ...] | None:
+    """An odd set of clique indices covering every ray an even number of
+    times, or None.  It refutes every colouring with an odd part: that
+    colour's indicator sums to 1 mod 2 on each clique, so its sum over
+    the set is 1, yet the set counts each ray an even number of times.
+    """
+    masks = clique_masks(config)
+    rhs = 1 << config.n  # the right-hand side, 1, of every clique row
+    pivots, _ = _gf2_eliminate([m | rhs for m in masks])
+    rest, combo = _gf2_reduce(pivots, rhs)
+    return None if rest else _bits(combo)
+
+
 def find_partition_colouring(
     config: Configuration, partition
 ) -> Colouring | None:
     """A colouring compatible with the partition, or None (exhaustive).
 
-    Backtracks over rays in a clique-grouped order with per-clique
-    colour-count bookkeeping; colours of equal multiplicity are
-    symmetry-broken by order of first use.
+    A :func:`parity_proof` refutes any partition with an odd part at
+    once.  Otherwise the search backtracks over rays in a clique-grouped
+    order with per-clique colour-count bookkeeping; colours of equal
+    multiplicity are symmetry-broken by order of first use.
     """
     part = _check_partition(partition, config.dim)
+    if any(p % 2 for p in part) and parity_proof(config) is not None:
+        return None
     s = len(part)
     cliques = maximal_cliques(config)
     n = config.n

@@ -175,6 +175,34 @@ def _section_masks(rows, masks) -> int | None:
     return rec(0, 0)
 
 
+def _gf2_reduce(pivots: dict[int, tuple[int, int]], row: int, combo: int = 0):
+    """Reduce a bit row by the pivots, XORing their combinations into
+    combo; the row comes back zero iff it lies in the pivots' span."""
+    while row and (hit := pivots.get(row.bit_length() - 1)):
+        row, combo = row ^ hit[0], combo ^ hit[1]
+    return row, combo
+
+
+def _gf2_eliminate(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination over GF(2) on Python-int bit rows.
+
+    Returns (pivots, kernel).  pivots maps each leading bit, in the order
+    the inputs became pivots, to its reduced row and the combination
+    (bitmask over input indices) that produced it.  kernel holds the
+    combinations that reduced an input to zero: a basis of all zero sums.
+    ``_gf2_reduce(pivots, t)`` solves for a target t.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for i, row in enumerate(rows):
+        row, combo = _gf2_reduce(pivots, row, 1 << i)
+        if row:
+            pivots[row.bit_length() - 1] = (row, combo)
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
 def is_saturated(config: Configuration):
     """Check that every clique of size < d extends inside the configuration.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .orthograph import _bits, _gf2_eliminate, _gf2_reduce
 from .rays import Ray, make_ray
 from math import gcd
 
@@ -194,20 +195,11 @@ def _symplectic_bits(w: PauliWord) -> int:
 
 def _independent_triple(words) -> list[int]:
     """Indices of words forming an F2-independent generating triple."""
-    pivots: dict[int, int] = {}  # leading-bit position -> reduced vector
-    chosen: list[int] = []
-    for i, w in enumerate(words):
-        v = _symplectic_bits(w)
-        while v:
-            p = v.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = v
-                chosen.append(i)
-                break
-            v ^= pivots[p]
-        if len(chosen) == 3:
-            return chosen
-    raise ValueError("words do not generate a maximal abelian subgroup")
+    pivots, _ = _gf2_eliminate([_symplectic_bits(w) for w in words])
+    chosen = [combo.bit_length() - 1 for _, combo in pivots.values()][:3]
+    if len(chosen) < 3:
+        raise ValueError("words do not generate a maximal abelian subgroup")
+    return chosen
 
 
 def joint_eigenrays(words) -> list[Ray]:
@@ -305,39 +297,37 @@ def four_edges(vertices) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
 def mine_parity_proofs(vertices):
     """All single-positive-edge parity proofs over the vertex set.
 
-    Iterates the odd-cardinality subsets of the negative 4-edges in Gray
-    order, tracking vertex-degree parity as a bitmask; a subset with
-    exactly 4 odd-degree vertices closing to a positive 4-edge is a
-    proof.  Returns (proofs, profiles) where each proof is a
-    SignedHypergraph and profiles is the sorted set of distinct {n_k}
-    degree profiles (n_k = vertices in exactly k negative edges,
-    reported as a sorted tuple of (k, n_k) for k >= 1).
+    A proof is an odd set of negative 4-edges whose odd-degree vertices
+    form a positive 4-edge: a GF(2) system in the edges' vertex masks,
+    each with an odd-size bit.  Its solutions, a particular one plus the
+    kernel's span, come in the Gray-code order of their subsets.
+    Returns (proofs, profiles) where each proof is a SignedHypergraph and
+    profiles is the sorted set of distinct {n_k} degree profiles (n_k =
+    vertices in exactly k negative edges, reported as a sorted tuple of
+    (k, n_k) for k >= 1).
     """
     vertices = tuple(vertices)
     neg, pos = four_edges(vertices)
-    pos_set = {frozenset(c) for c in pos}
-    edge_masks = [sum(1 << i for i in c) for c in neg]
-    m = len(edge_masks)
+    odd = 1 << len(vertices)
+    pivots, kernel = _gf2_eliminate([odd | sum(1 << i for i in c) for c in neg])
 
-    hits: list[tuple[int, tuple[int, ...]]] = []
-    parity = 0
-    size_odd = 0
-    for g in range(1, 1 << m):
-        e = (g & -g).bit_length() - 1
-        parity ^= edge_masks[e]
-        size_odd ^= 1
-        if size_odd and parity.bit_count() == 4:
-            subset = g ^ (g >> 1)  # Gray code of g
-            odd_vs = tuple(
-                i for i in range(len(vertices)) if (parity >> i) & 1
-            )
-            if frozenset(odd_vs) in pos_set:
-                hits.append((subset, odd_vs))
+    hits: list[tuple[int, int, tuple[int, ...]]] = []
+    for odd_vs in pos:
+        rest, first = _gf2_reduce(pivots, odd | sum(1 << i for i in odd_vs))
+        subsets = [] if rest else [first]
+        for k in kernel:
+            subsets += [s ^ k for s in subsets]
+        for subset in subsets:
+            rank, g = subset, subset >> 1
+            while g:  # inverse Gray code: the prefix XOR of the subset
+                rank, g = rank ^ g, g >> 1
+            hits.append((rank, subset, odd_vs))
+    hits.sort()
 
     proofs = []
     profiles = set()
-    for subset, odd_vs in hits:
-        chosen = [neg[i] for i in range(m) if (subset >> i) & 1]
+    for _, subset, odd_vs in hits:
+        chosen = [neg[i] for i in _bits(subset)]
         degree = [0] * len(vertices)
         for c in chosen:
             for i in c:

@@ -97,6 +97,21 @@ class TestColour:
         assert out == ""
         assert "no colouring" in err
 
+    def test_five_three_names_its_certificate(self, capsys):
+        code, out, err = run(capsys, "colour", "M", "--partition", "5,3")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            "no colouring of M is compatible with (5, 3): "
+            "parity proof over 15 cliques"
+        )
+
+    def test_six_two_found_without_certificate(self, capsys):
+        code, out, err = run(capsys, "colour", "M", "--partition", "6,2")
+        assert code == 0
+        assert len(out.split()) == 64
+        assert "parity proof" not in err
+
     def test_bad_partition_is_an_error(self, capsys):
         code, _, _ = run(capsys, "colour", "M", "--partition", "6;2")
         assert code == 2

@@ -14,9 +14,10 @@ from ksrays.colouring import (
     find_partition_colouring,
     is_critical,
     is_ks_configuration,
+    parity_proof,
     verify_partition_colouring,
 )
-from ksrays.orthograph import maximal_cliques
+from ksrays.orthograph import clique_masks, maximal_cliques
 from ksrays.rays import Configuration, make_ray
 
 from conftest import naive_ks_ones
@@ -112,6 +113,123 @@ class TestPartitionColouring:
             col = find_partition_colouring(b, (8 - a, a))
             assert col is not None
             assert verify_partition_colouring(b, col)
+
+
+def reference_partition_colouring(config: Configuration, part) -> Colouring | None:
+    """The ray-order partition search with no parity pre-check."""
+    s = len(part)
+    cliques = maximal_cliques(config)
+    n = config.n
+
+    order: list[int] = []
+    seen = [False] * n
+    for c in cliques:
+        for v in c:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    for v in range(n):
+        if not seen[v]:
+            order.append(v)
+
+    member_cliques: list[list[int]] = [[] for _ in range(n)]
+    for ci, c in enumerate(cliques):
+        for v in c:
+            member_cliques[v].append(ci)
+
+    counts = [[0] * s for _ in cliques]
+    values = [-1] * n
+
+    def rec(pos: int, used: int) -> bool:
+        if pos == len(order):
+            return all(tuple(counts[ci]) == part for ci in range(len(cliques)))
+        v = order[pos]
+        for a in range(s):
+            if a > 0 and part[a] == part[a - 1] and not (used >> (a - 1)) & 1:
+                continue
+            ok = True
+            for ci in member_cliques[v]:
+                counts[ci][a] += 1
+                if counts[ci][a] > part[a]:
+                    ok = False
+            if ok:
+                values[v] = a
+                if rec(pos + 1, used | (1 << a)):
+                    return True
+                values[v] = -1
+            for ci in member_cliques[v]:
+                counts[ci][a] -= 1
+        return False
+
+    if rec(0, 0):
+        for v in range(n):
+            if values[v] < 0:
+                values[v] = 0
+        return Colouring(tuple(values), part)
+    return None
+
+
+def clique_grown_restriction(config: Configuration, rng: random.Random, k: int):
+    """The first k rays of a chain of overlapping cliques, so that most
+    restrictions with k >= 8 keep at least one full clique."""
+    masks = clique_masks(config)
+    pool: list[int] = []
+    while len(pool) < k:
+        if pool:
+            touching = [m for m in masks if any((m >> v) & 1 for v in pool)]
+            mask = rng.choice(touching)
+        else:
+            mask = rng.choice(masks)
+        pool += [v for v in range(config.n) if (mask >> v) & 1 and v not in pool]
+    return config.restrict(pool[:k])
+
+
+class TestParityProof:
+    @pytest.mark.parametrize("name", ["M", "T0", "N", "KP36", "KP40", "E8", "B"])
+    def test_certificate_is_odd_and_covers_rays_evenly(self, name):
+        config = builtin(name)
+        proof = parity_proof(config)
+        assert proof is not None
+        assert len(proof) % 2 == 1
+        cliques = maximal_cliques(config)
+        cover = [0] * config.n
+        for i in proof:
+            for v in cliques[i]:
+                cover[v] += 1
+        assert all(c % 2 == 0 for c in cover)
+
+    def test_a_has_no_certificate(self):
+        assert parity_proof(builtin("A")) is None
+
+    @pytest.mark.parametrize("name", ["M", "T0"])
+    def test_small_restrictions_match_reference_search(self, name):
+        config = builtin(name)
+        rng = random.Random(11)
+        with_cliques = 0
+        for _ in range(40):
+            sub = clique_grown_restriction(config, rng, rng.randint(2, 16))
+            with_cliques += bool(maximal_cliques(sub))
+            if parity_proof(sub) is not None:
+                assert naive_ks_ones(sub) is None
+            for part in ((7, 1), (5, 3), (5, 2, 1)):
+                assert find_partition_colouring(sub, part) == (
+                    reference_partition_colouring(sub, part)
+                )
+        assert with_cliques >= 10
+
+    @pytest.mark.parametrize("name", ["M", "T0"])
+    def test_certificate_implies_no_ks_colouring_on_deletions(self, name):
+        config = builtin(name)
+        rng = random.Random(3)
+        verdicts = set()
+        for _ in range(20):
+            gone = set(rng.sample(range(config.n), rng.randint(1, 6)))
+            sub = config.restrict([v for v in range(config.n) if v not in gone])
+            certified = parity_proof(sub) is not None
+            if certified:
+                assert naive_ks_ones(sub) is None
+            verdicts.add(certified)
+        assert verdicts == {True, False}
 
 
 class TestCriticalReduce:

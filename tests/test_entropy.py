@@ -142,6 +142,13 @@ class TestMinimizeEntropy:
         rep = minimize_entropy(builtin("B"))
         assert abs(rep.common_entropy - math.log(2)) < 1e-12
 
+    def test_e8_bound_is_log_four(self):
+        # (7,1) and (5,3) are refuted by a parity certificate and (6,2)
+        # by the exhaustive search, so the first colouring is (4,4).
+        rep = minimize_entropy(builtin("E8"))
+        assert abs(rep.common_entropy - math.log(4)) < 1e-12
+        assert set(rep.witness.values) == {Fraction(0), Fraction(1, 4)}
+
     @pytest.mark.parametrize("partition", [(6, 2), (4, 4)])
     def test_two_part_weights_never_beat_log_a(self, m_config, partition):
         # The entropy is concave along the clique-sum segment, so no

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,13 +14,17 @@ from ksrays.pauli import (
     PROOF_LINES,
     SATURATED_WORDS,
     PauliWord,
+    SignedHypergraph,
     SignedWord,
+    _independent_triple,
+    _symplectic_bits,
     apply_word,
     commutes,
     eight_edge_proof,
     enumerate_parity_tuples,
     four_edges,
     joint_eigenrays,
+    mine_parity_proofs,
     pauli_mul,
     product_sign,
     verify_parity_proof,
@@ -50,6 +55,66 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def gray_walk_proofs(vertices):
+    """Reference miner: every odd subset of the negative 4-edges, in Gray order."""
+    vertices = tuple(vertices)
+    neg, pos = four_edges(vertices)
+    pos_set = {frozenset(c) for c in pos}
+    edge_masks = [sum(1 << i for i in c) for c in neg]
+    m = len(edge_masks)
+
+    hits: list[tuple[int, tuple[int, ...]]] = []
+    parity = 0
+    size_odd = 0
+    for g in range(1, 1 << m):
+        e = (g & -g).bit_length() - 1
+        parity ^= edge_masks[e]
+        size_odd ^= 1
+        if size_odd and parity.bit_count() == 4:
+            subset = g ^ (g >> 1)  # Gray code of g
+            odd_vs = tuple(
+                i for i in range(len(vertices)) if (parity >> i) & 1
+            )
+            if frozenset(odd_vs) in pos_set:
+                hits.append((subset, odd_vs))
+
+    proofs = []
+    profiles = set()
+    for subset, odd_vs in hits:
+        chosen = [neg[i] for i in range(m) if (subset >> i) & 1]
+        degree = [0] * len(vertices)
+        for c in chosen:
+            for i in c:
+                degree[i] += 1
+        counts: dict[int, int] = {}
+        for dgr in degree:
+            if dgr:
+                counts[dgr] = counts.get(dgr, 0) + 1
+        profiles.add(tuple(sorted(counts.items())))
+        edges = tuple([(c, -1) for c in chosen] + [(odd_vs, 1)])
+        proofs.append(SignedHypergraph(vertices, edges))
+    return proofs, sorted(profiles)
+
+
+def pivot_loop_triple(words) -> list[int]:
+    """Reference: the first three words that are independent of their
+    predecessors, by a private leading-bit pivot loop."""
+    pivots: dict[int, int] = {}
+    chosen: list[int] = []
+    for i, w in enumerate(words):
+        v = _symplectic_bits(w)
+        while v:
+            p = v.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = v
+                chosen.append(i)
+                break
+            v ^= pivots[p]
+        if len(chosen) == 3:
+            return chosen
+    raise ValueError("words do not generate a maximal abelian subgroup")
 
 
 class TestAlgebra:
@@ -174,3 +239,31 @@ class TestParityProofs:
         for text, sign in PROOF_LINES:
             ws = [word(t) for t in text.split()]
             assert product_sign(ws) == sign
+
+    def test_mining_matches_gray_walk(self):
+        assert mine_parity_proofs(SATURATED_WORDS) == gray_walk_proofs(SATURATED_WORDS)
+        # Each subset holds the 15 words of the eight-edge proof, so
+        # every one of them has at least that proof to find.
+        core = eight_edge_proof().vertices
+        rest = [w for w in SATURATED_WORDS if w not in core]
+        rng = random.Random(17)
+        for _ in range(20):
+            words = list(core) + rng.sample(rest, rng.randint(1, 5))
+            rng.shuffle(words)
+            got = mine_parity_proofs(words)
+            assert got == gray_walk_proofs(words)
+            assert got[0]
+
+
+class TestGeneratingTriple:
+    def test_operator_lines_match_pivot_loop(self):
+        rng = random.Random(2)
+        for line in OPERATOR_LINES:
+            assert _independent_triple(line) == pivot_loop_triple(line)
+            shuffled = rng.sample(line, len(line))
+            assert _independent_triple(shuffled) == pivot_loop_triple(shuffled)
+
+    def test_dependent_words_rejected(self):
+        words = [word("XII"), word("IXI"), word("XXI")] * 2 + [word("XII")]
+        with pytest.raises(ValueError, match="maximal abelian"):
+            _independent_triple(words)
