@@ -70,13 +70,13 @@ def _load_input(name: str, dim: int | None, count: int | None) -> Configuration:
             f"{name!r} is neither a built-in dataset "
             f"({', '.join(_SINGLE_DATASETS)}) nor a file"
         )
-    if dim is None:
-        raise InputError("--dim is required for vector-file input")
+    if dim is None or dim < 1:
+        raise InputError("--dim (at least 1) is required for vector-file input")
     with open(name) as fh:
         text = fh.read()
     try:
         return load_vectors(text, dim, count)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: "1e400j"
         msg = str(exc)
         # Point at the offending token when the parser names one.
         if "token" in msg and "'" in msg:

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 from .rays import Configuration
 from .orthograph import (
-    Signature,
     _bits,
+    _complement_rows,
     _gf2_eliminate,
     _gf2_reduce,
     _section_masks,
+    _size_counts,
     clique_masks,
     maximal_cliques,
-    signature,
 )
 
 
@@ -98,8 +98,10 @@ def is_critical(config: Configuration) -> bool:
     """True iff non-colourable and every single-ray deletion is colourable."""
     if not is_ks_configuration(config):
         return False
+    masks = clique_masks(config)
     return all(
-        not is_ks_configuration(config.delete(i)) for i in range(config.n)
+        _section_masks(config.adj, [c for c in masks if not c >> i & 1]) is not None
+        for i in range(config.n)
     )
 
 
@@ -202,6 +204,16 @@ def find_partition_colouring(
     return None
 
 
+def _counts_without(counts, rows, nbhd: int) -> tuple[int, ...]:
+    """Clique counts after deleting a vertex v whose neighbourhood (in
+    the graph that counts describes) is nbhd: each k-clique of nbhd is a
+    (k+1)-clique through v."""
+    out = list(counts)
+    for k, c in enumerate(_size_counts(rows, nbhd)):
+        out[k + 1] -= c
+    return tuple(out)
+
+
 def critical_reduce(parent: Configuration) -> CriticalReport:
     """Signature-based reduction of a KS configuration to critical ones.
 
@@ -212,54 +224,57 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     into the next round.  Representatives with no non-colourable
     deletion are critical and are moved to the result list.
     Deterministic by construction.
+
+    Children are keep-masks over the input, tested on its clique masks
+    and counted by :func:`_counts_without`: none is built or recounted.
     """
     if not is_ks_configuration(parent):
         raise ValueError("input configuration admits a KS colouring")
 
-    start = tuple(range(parent.n))
-    current: list[tuple[int, ...]] = [start]
+    adj, comp = parent.adj, _complement_rows(parent)
+    masks = clique_masks(parent)
+    full = (1 << parent.n) - 1
+    # Representatives carry untrimmed (clique, anticlique) counts; a round's
+    # children share one size, so equal counts are equal signatures.
+    current = [(full, (_size_counts(adj, full), _size_counts(comp, full)))]
     iterations: list[ReductionStep] = []
-    results: list[tuple[int, ...]] = []
-    colourable: dict[tuple[int, ...], bool] = {}
-
-    def ks(indices: tuple[int, ...]) -> bool:
-        got = colourable.get(indices)
-        if got is None:
-            got = is_ks_configuration(parent.restrict(indices))
-            colourable[indices] = got
-        return got
+    results: set[int] = set()
+    noncolourable: dict[int, bool] = {}
 
     while current:
         per_parent: list[int] = []
         finished: list[tuple[int, ...]] = []
-        by_sig: dict[Signature, tuple[int, ...]] = {}
-        for rep in current:
-            bad = [
-                child
-                for k in range(len(rep))
-                if ks(child := rep[:k] + rep[k + 1:])
-            ]
+        by_sig: dict[tuple, int] = {}
+        for rep, (cl, ac) in current:
+            inside = [m for m in masks if m & rep == m]
+            bad = []
+            for v in _bits(rep):
+                child = rep ^ (1 << v)
+                if child not in noncolourable:
+                    kept = [m for m in inside if not m >> v & 1]
+                    noncolourable[child] = _section_masks(adj, kept) is None
+                if noncolourable[child]:
+                    bad.append(v)
             per_parent.append(len(bad))
             if not bad:
-                if rep not in results:
-                    results.append(rep)
-                finished.append(rep)
-                continue
-            for child in bad:
-                sig = signature(parent.restrict(child))
-                if sig not in by_sig:
-                    by_sig[sig] = child
-        reps = list(by_sig.values())
+                results.add(rep)
+                finished.append(_bits(rep))
+            for v in bad:
+                sig = (
+                    _counts_without(cl, adj, adj[v] & rep),
+                    _counts_without(ac, comp, comp[v] & rep),
+                )
+                by_sig.setdefault(sig, rep ^ (1 << v))
         iterations.append(
             ReductionStep(
-                parents=list(current),
+                parents=[_bits(rep) for rep, _ in current],
                 survivors_per_parent=per_parent,
                 survivors=sum(per_parent),
                 signature_classes=len(by_sig),
-                representatives=reps,
+                representatives=[_bits(child) for child in by_sig.values()],
                 finished=finished,
             )
         )
-        current = reps
+        current = [(child, sig) for sig, child in by_sig.items()]
 
-    return CriticalReport(start, iterations, sorted(results))
+    return CriticalReport(_bits(full), iterations, sorted(_bits(r) for r in results))

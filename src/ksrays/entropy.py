@@ -21,6 +21,7 @@ from .orthograph import maximal_cliques, is_saturated
 from .colouring import Colouring, find_partition_colouring
 
 EQUIENTROPY_TOL = 1e-9
+CLIQUE_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,20 @@ def _require_saturated(config: Configuration) -> None:
 
 
 def validate_probability_weight(
-    config: Configuration, f: ProbabilityWeight, tol: float = 1e-12
+    config: Configuration, f: ProbabilityWeight, tol: float = CLIQUE_SUM_TOL
 ) -> bool:
     """True iff every maximal clique sums to 1 (exactly in rational mode)."""
+    return _sums_to_one(config, f, maximal_cliques(config), tol)
+
+
+def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques, tol) -> bool:
     _require_saturated(config)
     if len(f.values) != config.n:
         raise ValueError("weight is not total on the configuration")
     if any(v < 0 or v > 1 for v in f.values):
         return False
     exact = f.exact
-    for clique in maximal_cliques(config):
+    for clique in cliques:
         s = sum(f.values[v] for v in clique)
         if exact:
             if s != 1:
@@ -95,12 +100,13 @@ def entropy_report(
     agree, which is exact; in floating mode entropies are compared
     within tol.
     """
-    if not validate_probability_weight(config, f):
+    cliques = maximal_cliques(config)
+    if not _sums_to_one(config, f, cliques, CLIQUE_SUM_TOL):
         raise ValueError("not a valid probability weight")
     exact = f.exact
     per: dict[tuple[int, ...], float] = {}
     multisets = set()
-    for clique in maximal_cliques(config):
+    for clique in cliques:
         vals = [f.values[v] for v in clique]
         # Summing negated terms keeps a zero entropy at +0.0.
         per[clique] = sum(-_xlogx(float(v)) for v in vals)

@@ -27,14 +27,15 @@ class Signature:
     anticliques: tuple[int, ...]
 
 
-def _size_counts(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
-    """Count cliques of every size in a bitset-adjacency graph.
+def _size_counts(rows: tuple[int, ...] | list[int], cand: int) -> list[int]:
+    """Count cliques of every size inside the vertex bitmask cand of a
+    bitset-adjacency graph.
 
     Returns counts[k] = number of k-cliques, counts[0] = 1 (the empty
-    clique).  Recursion visits each clique exactly once in increasing
-    index order.
+    clique), for k up to the size of cand.  Recursion visits each clique
+    exactly once in increasing index order.
     """
-    counts = [0] * (n + 1)
+    counts = [0] * (cand.bit_count() + 1)
     counts[0] = 1
 
     def rec(cand: int, size: int) -> None:
@@ -47,8 +48,7 @@ def _size_counts(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
             if nxt:
                 rec(nxt, size + 1)
 
-    full = (1 << n) - 1
-    rec(full, 0)
+    rec(cand, 0)
     return counts
 
 
@@ -72,8 +72,9 @@ def signature(config: Configuration) -> Signature:
     cached = config._signature
     if cached is not None:
         return cached
-    cl = _trim(_size_counts(config.adj, config.n))
-    ac = _trim(_size_counts(_complement_rows(config), config.n))
+    full = (1 << config.n) - 1
+    cl = _trim(_size_counts(config.adj, full))
+    ac = _trim(_size_counts(_complement_rows(config), full))
     sig = Signature(cl, ac)
     object.__setattr__(config, "_signature", sig)
     return sig

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
 from ksrays.cli import main
@@ -228,3 +232,39 @@ class TestDataset:
         code, _, err = run(capsys, "dataset", "export", "XYZ")
         assert code == 2
         assert "unknown dataset" in err
+
+
+# Tokens the vector parser must reject or accept without a traceback.
+ODD_TOKENS = ["0", "1", "-1", "1j", "1+1j", "2-j", "oops", "0.5", "0.5j",
+              "1e400j", "nanj", "infj", "j", "1/2", "--", "+", "9" * 30]
+
+
+@st.composite
+def vector_files(draw):
+    """(text, dim): a dumped restriction of M or T0 of at most 10 rays,
+    possibly with one token replaced, or a list of odd tokens."""
+    if draw(st.booleans()):
+        config = builtin(draw(st.sampled_from(["M", "T0"])))
+        keep = draw(st.lists(st.integers(0, config.n - 1), min_size=1, max_size=10,
+                             unique=True))
+        tokens = dump_vectors(config.restrict(sorted(keep))).split()
+        if draw(st.booleans()):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        return " ".join(tokens), 8
+    tokens = draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=16))
+    return " ".join(tokens), draw(st.sampled_from([-1, 0, 1, 2, 4, 8]))
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(vector_files())
+    def test_exit_codes_on_vector_files(self, tmp_path_factory, case):
+        text, dim = case
+        path = tmp_path_factory.mktemp("fuzz") / "rays.txt"
+        path.write_text(text)
+        for command in ("check", "signature", "reduce"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, str(path), "--dim", str(dim)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from ksrays import builtin
+from ksrays import builtin, datasets
 from ksrays.colouring import (
     Colouring,
+    CriticalReport,
+    ReductionStep,
     critical_reduce,
     find_ks_colouring,
     find_partition_colouring,
@@ -17,7 +19,7 @@ from ksrays.colouring import (
     parity_proof,
     verify_partition_colouring,
 )
-from ksrays.orthograph import clique_masks, maximal_cliques
+from ksrays.orthograph import clique_masks, maximal_cliques, signature
 from ksrays.rays import Configuration, make_ray
 
 from conftest import naive_ks_ones
@@ -262,3 +264,80 @@ class TestCriticalReduce:
             assert step.survivors == sum(step.survivors_per_parent)
             assert len(step.survivors_per_parent) == len(step.parents)
             assert len(step.representatives) == step.signature_classes
+
+
+def reference_critical_reduce(parent: Configuration) -> CriticalReport:
+    """The reduction on restricted child configurations, each recounted
+    in full: every child is built with ``restrict`` and tested and
+    signed on its own."""
+    if not is_ks_configuration(parent):
+        raise ValueError("input configuration admits a KS colouring")
+
+    start = tuple(range(parent.n))
+    current: list[tuple[int, ...]] = [start]
+    iterations: list[ReductionStep] = []
+    results: list[tuple[int, ...]] = []
+    colourable: dict[tuple[int, ...], bool] = {}
+
+    def ks(indices: tuple[int, ...]) -> bool:
+        got = colourable.get(indices)
+        if got is None:
+            got = is_ks_configuration(parent.restrict(indices))
+            colourable[indices] = got
+        return got
+
+    while current:
+        per_parent: list[int] = []
+        finished: list[tuple[int, ...]] = []
+        by_sig = {}
+        for rep in current:
+            bad = [
+                child
+                for k in range(len(rep))
+                if ks(child := rep[:k] + rep[k + 1:])
+            ]
+            per_parent.append(len(bad))
+            if not bad:
+                if rep not in results:
+                    results.append(rep)
+                finished.append(rep)
+                continue
+            for child in bad:
+                sig = signature(parent.restrict(child))
+                if sig not in by_sig:
+                    by_sig[sig] = child
+        reps = list(by_sig.values())
+        iterations.append(
+            ReductionStep(
+                parents=list(current),
+                survivors_per_parent=per_parent,
+                survivors=sum(per_parent),
+                signature_classes=len(by_sig),
+                representatives=reps,
+                finished=finished,
+            )
+        )
+        current = reps
+
+    return CriticalReport(start, iterations, sorted(results))
+
+
+class TestCriticalReduceOracle:
+    """The keep-mask reduction with subtracted signatures gives the same
+    report, field for field, as the restrict-and-recount reference."""
+
+    @pytest.mark.parametrize("name", ["N", "KP40"])
+    def test_builtin_reports_match(self, name):
+        config = builtin(name)
+        assert critical_reduce(config) == reference_critical_reduce(config)
+
+    @pytest.mark.parametrize("k, seed", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (6, 6)])
+    def test_n_plus_k_subsets_of_t0_match(self, t0_config, k, seed):
+        in_n = set(datasets.N_INDICES)
+        n_pos = [i for i, g in enumerate(datasets.T0_INDICES) if g in in_n]
+        extra = [i for i, g in enumerate(datasets.T0_INDICES) if g not in in_n]
+        rng = random.Random(seed)
+        sub = t0_config.restrict(sorted(n_pos + rng.sample(extra, k)))
+        report = critical_reduce(sub)
+        assert report == reference_critical_reduce(sub)
+        assert report.iterations[0].survivors > 0

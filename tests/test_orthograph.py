@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
+from ksrays.colouring import _counts_without
 from ksrays.rays import Configuration, make_ray
 from ksrays.orthograph import (
     Signature,
+    _bits,
+    _complement_rows,
+    _size_counts,
+    _trim,
     capacity,
     clique_masks,
     count_anticliques,
@@ -88,6 +93,29 @@ class TestSignature:
         sig = signature(n_config)
         assert count_cliques(n_config, 2) == sig.cliques[1]
         assert count_anticliques(n_config, 2) == sig.anticliques[1]
+
+
+class TestDeletionCounts:
+    """sig(keep - v) is sig(keep) minus the counts through v: the cliques
+    of N(v) & keep and the anticliques of the complement's N(v) & keep,
+    each shifted up one size.  Checked against full recounts."""
+
+    @pytest.mark.parametrize("name, seed", [("M", 31), ("T0", 32), ("E8", 33)])
+    def test_subtraction_matches_recount(self, name, seed):
+        import random
+
+        config = builtin(name)
+        comp = _complement_rows(config)
+        rng = random.Random(seed)
+        for _ in range(4):
+            keep = sum(1 << v for v in rng.sample(range(config.n), rng.randint(16, 30)))
+            cl, ac = _size_counts(config.adj, keep), _size_counts(comp, keep)
+            for v in _bits(keep):
+                got = Signature(
+                    _trim(_counts_without(cl, config.adj, config.adj[v] & keep)),
+                    _trim(_counts_without(ac, comp, comp[v] & keep)),
+                )
+                assert got == signature(config.restrict(_bits(keep & ~(1 << v))))
 
 
 class TestMaximalCliques:
