@@ -71,11 +71,11 @@ def validate_probability_weight(
     config: Configuration, f: ProbabilityWeight, tol: float = CLIQUE_SUM_TOL
 ) -> bool:
     """True iff every maximal clique sums to 1 (exactly in rational mode)."""
+    _require_saturated(config)
     return _sums_to_one(config, f, maximal_cliques(config), tol)
 
 
 def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques, tol) -> bool:
-    _require_saturated(config)
     if len(f.values) != config.n:
         raise ValueError("weight is not total on the configuration")
     if any(v < 0 or v > 1 for v in f.values):
@@ -100,6 +100,12 @@ def entropy_report(
     agree, which is exact; in floating mode entropies are compared
     within tol.
     """
+    _require_saturated(config)
+    return _report(config, f, tol)
+
+
+def _report(config: Configuration, f: ProbabilityWeight, tol: float) -> EntropyReport:
+    """:func:`entropy_report` on a configuration already known to be saturated."""
     cliques = maximal_cliques(config)
     if not _sums_to_one(config, f, cliques, CLIQUE_SUM_TOL):
         raise ValueError("not a valid probability weight")
@@ -193,7 +199,9 @@ def minimize_entropy(config: Configuration) -> EntropyReport:
             weight = weight_from_partition_colouring(
                 config, col, (Fraction(0), Fraction(1, a))
             )
-            return entropy_report(config, weight)
-    return entropy_report(
-        config, ProbabilityWeight(tuple(Fraction(1, d) for _ in range(config.n)))
+            return _report(config, weight, EQUIENTROPY_TOL)
+    return _report(
+        config,
+        ProbabilityWeight(tuple(Fraction(1, d) for _ in range(config.n))),
+        EQUIENTROPY_TOL,
     )

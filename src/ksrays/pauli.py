@@ -15,18 +15,7 @@ from .orthograph import _bits, _gf2_eliminate, _gf2_reduce
 from .rays import Ray, make_ray
 from math import gcd
 
-LETTERS = "IXYZ"
-
-# letter codes: I=0, X=1, Y=2, Z=3.
-# _MUL[a][b] = (sign, code) for the 2x2 product A*B in the real-Y
-# convention; the test suite re-derives this table from integer matrix
-# products.
-_MUL = (
-    ((1, 0), (1, 1), (1, 2), (1, 3)),
-    ((1, 1), (1, 0), (-1, 3), (-1, 2)),
-    ((1, 2), (1, 3), (-1, 0), (-1, 1)),
-    ((1, 3), (1, 2), (1, 1), (1, 0)),
-)
+LETTERS = "IXYZ"  # letter codes I=0, X=1, Y=2, Z=3
 
 
 @dataclass(frozen=True)
@@ -77,36 +66,88 @@ def word_from_index(alpha: int, n_qubits: int) -> PauliWord:
     )
 
 
-def pauli_mul(a: SignedWord, b: SignedWord) -> SignedWord:
-    """Exact signed product, per-qubit lookup with sign accumulation."""
-    if a.word.n_qubits != b.word.n_qubits:
+def _xz(w: PauliWord) -> tuple[int, int]:
+    """(x, z) with w = +Z^z X^x exactly, since Y = ZX; bit k is qubit k."""
+    x = z = 0
+    for k, c in enumerate(w.codes):
+        x |= (c in (1, 2)) << k
+        z |= (c >= 2) << k
+    return x, z
+
+
+def _commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return not ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1
+
+
+def _product_sign(pairs) -> int | None:
+    """Sign of the ordered product of Z^z X^x words if it is +-identity:
+    moving each X^x_i right past Z^z_j (i < j) flips |x_i & z_j| times."""
+    x = z = flips = 0
+    for xi, zi in pairs:
+        flips += (x & zi).bit_count()
+        x ^= xi
+        z ^= zi
+    return None if x or z else 1 - 2 * (flips & 1)
+
+
+def _xz_all(words) -> list[tuple[int, int]]:
+    if len({w.n_qubits for w in words}) > 1:
         raise ValueError("qubit count mismatch")
-    sign = a.sign * b.sign
-    codes = []
-    for ca, cb in zip(a.word.codes, b.word.codes):
-        s, c = _MUL[ca][cb]
-        sign *= s
-        codes.append(c)
-    return SignedWord(sign, PauliWord(tuple(codes)))
+    return [_xz(w) for w in words]
+
+
+def pauli_mul(a: SignedWord, b: SignedWord) -> SignedWord:
+    """Exact signed product: Z^za X^xa Z^zb X^xb = (-1)^|xa & zb| Z^z X^x."""
+    (xa, za), (xb, zb) = _xz_all([a.word, b.word])
+    sign = a.sign * b.sign * (1 - 2 * ((xa & zb).bit_count() & 1))
+    x, z = xa ^ xb, za ^ zb
+    codes = tuple(3 * (z >> k & 1) ^ (x >> k & 1) for k in range(a.word.n_qubits))
+    return SignedWord(sign, PauliWord(codes))
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
     """True iff the words anticommute on an even number of positions."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit count mismatch")
-    odd = 0
-    for ca, cb in zip(a.codes, b.codes):
-        if ca and cb and ca != cb:
-            odd ^= 1
-    return odd == 0
+    pa, pb = _xz_all([a, b])
+    return _commute(pa, pb)
 
 
 def product_sign(words) -> int | None:
     """Sign s if the ordered product of the words is s * identity, else None."""
-    acc = SignedWord(1, PauliWord((0,) * words[0].n_qubits))
-    for w in words:
-        acc = pauli_mul(acc, SignedWord(1, w))
-    return acc.sign if acc.word.is_identity() else None
+    return _product_sign(_xz_all(words))
+
+
+def _parity_tuples(pairs, s: int) -> list[tuple[tuple[int, ...], int]]:
+    """(indices, sign) of every index-increasing s-tuple of mutually
+    commuting pairs whose product is +-identity, in lexicographic order:
+    a depth-first walk over the commuting-partner bitsets."""
+    m = len(pairs)
+    compat = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if _commute(pairs[i], pairs[j]):
+                compat[i] |= 1 << j
+
+    out = []
+    stack: list[int] = []
+
+    def rec(cand: int, depth: int):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            stack.append(i)
+            if depth + 1 == s:
+                sign = _product_sign([pairs[k] for k in stack])
+                if sign is not None:
+                    out.append((tuple(stack), sign))
+            else:
+                nxt = cand & compat[i]
+                if nxt.bit_count() >= s - depth - 1:
+                    rec(nxt, depth + 1)
+            stack.pop()
+
+    rec((1 << m) - 1, 0)
+    return out
 
 
 def enumerate_parity_tuples(n_qubits: int, s: int):
@@ -121,76 +162,31 @@ def enumerate_parity_tuples(n_qubits: int, s: int):
         raise ValueError(f"n_qubits must be in 1..4, got {n_qubits}")
     if s < 1:
         raise ValueError(f"tuple size must be at least 1, got {s}")
-    total = 4**n_qubits
-    words = [word_from_index(a, n_qubits) for a in range(1, total)]
-    m = len(words)
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if commutes(words[i], words[j]):
-                compat[i] |= 1 << j
-
-    out = []
-    stack: list[int] = []
-
-    def rec(cand: int, depth: int):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            stack.append(i)
-            if depth + 1 == s:
-                tup = tuple(words[k] for k in stack)
-                sign = product_sign(tup)
-                if sign is not None:
-                    out.append((tup, sign))
-            else:
-                nxt = cand & compat[i]
-                if nxt.bit_count() >= s - depth - 1:
-                    rec(nxt, depth + 1)
-            stack.pop()
-
-    rec((1 << m) - 1, 0)
-    return out
+    words = [word_from_index(a, n_qubits) for a in range(1, 4**n_qubits)]
+    return [
+        (tuple(words[k] for k in t), sign)
+        for t, sign in _parity_tuples(_xz_all(words), s)
+    ]
 
 
 # --- word action and joint eigenrays ------------------------------------
 
 def apply_word(w: PauliWord, vec: list[int]) -> list[int]:
-    """Apply the (real, signed-permutation) word to an integer vector."""
-    n = w.n_qubits
-    dim = 1 << n
-    if len(vec) != dim:
+    """Apply the (real, signed-permutation) word to an integer vector:
+    Z^z X^x maps e_j to (-1)^|i & z| e_i with i = j ^ x."""
+    if len(vec) != 1 << w.n_qubits:
         raise ValueError("vector length mismatch")
-    out = [0] * dim
-    flip = 0
-    for k, c in enumerate(w.codes):
-        if c in (1, 2):  # X or Y flip bit k
-            flip |= 1 << k
-    for j, x in enumerate(vec):
-        if x == 0:
-            continue
-        i = j ^ flip
-        sign = 1
-        for k, c in enumerate(w.codes):
-            bit = (j >> k) & 1
-            if c == 2:  # Y: e0 -> -e1, e1 -> e0
-                if bit == 0:
-                    sign = -sign
-            elif c == 3:  # Z: e1 -> -e1
-                if bit:
-                    sign = -sign
-        out[i] += sign * x
+    x, z = _xz(w)
+    out = [0] * len(vec)
+    for j, v in enumerate(vec):
+        i = j ^ x
+        out[i] = -v if (i & z).bit_count() & 1 else v
     return out
 
 
 def _symplectic_bits(w: PauliWord) -> int:
-    bits = 0
-    for k, c in enumerate(w.codes):
-        x = 1 if c in (1, 2) else 0
-        z = 1 if c in (2, 3) else 0
-        bits |= (x << (2 * k)) | (z << (2 * k + 1))
-    return bits
+    x, z = _xz(w)
+    return x | z << w.n_qubits
 
 
 def _independent_triple(words) -> list[int]:
@@ -259,14 +255,14 @@ def verify_parity_proof(h: SignedHypergraph) -> bool:
 
     Edge signs are recomputed from the word products; a mismatch raises.
     """
-    degree = [0] * len(h.vertices)
+    pairs = _xz_all(h.vertices)
+    degree = [0] * len(pairs)
     negatives = 0
     for members, sign in h.edges:
-        ws = [h.vertices[i] for i in members]
-        for a, b in combinations(ws, 2):
-            if not commutes(a, b):
-                raise ValueError("edge contains non-commuting words")
-        true_sign = product_sign(ws)
+        ps = [pairs[i] for i in members]
+        if not all(_commute(a, b) for a, b in combinations(ps, 2)):
+            raise ValueError("edge contains non-commuting words")
+        true_sign = _product_sign(ps)
         if true_sign is None or true_sign != sign:
             raise ValueError(
                 f"edge sign mismatch: recorded {sign}, product gives {true_sign}"
@@ -279,19 +275,10 @@ def verify_parity_proof(h: SignedHypergraph) -> bool:
 
 
 def four_edges(vertices) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(negative, positive) mutually-commuting 4-subsets with product -+1."""
-    vertices = list(vertices)
-    neg, pos = [], []
-    for combo in combinations(range(len(vertices)), 4):
-        ws = [vertices[i] for i in combo]
-        if any(not commutes(a, b) for a, b in combinations(ws, 2)):
-            continue
-        sign = product_sign(ws)
-        if sign == -1:
-            neg.append(combo)
-        elif sign == 1:
-            pos.append(combo)
-    return neg, pos
+    """(negative, positive) mutually-commuting 4-subsets with product -+1,
+    each in lexicographic order."""
+    edges = _parity_tuples(_xz_all(vertices), 4)
+    return [t for t, s in edges if s < 0], [t for t, s in edges if s > 0]
 
 
 def mine_parity_proofs(vertices):

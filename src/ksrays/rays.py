@@ -288,15 +288,15 @@ def _format_coord(c: GaussianInt) -> str:
 
 
 def _parse_coord(token: str) -> GaussianInt:
-    if "j" in token or "J" in token:
-        try:
-            z = complex(token)
-        except ValueError as exc:
-            raise ValueError(f"bad coordinate token {token!r}") from exc
-        return gi(z)
+    # int() and complex() also take "1_0" and non-ASCII digits, and
+    # complex() gives inf or nan, which gi() cannot convert.
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError("not an ASCII number without underscores")
+        if "j" in token or "J" in token:
+            return gi(complex(token))
         return GaussianInt(int(token), 0)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"bad coordinate token {token!r}") from exc
 
 

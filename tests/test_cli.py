@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
 from ksrays.cli import main
+from ksrays.pauli import OPERATOR_LINES, SATURATED_WORDS
 from ksrays.rays import dump_vectors, load_vectors
 
 
@@ -53,6 +54,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path), "--dim", "2")
         assert code == 2
         assert "line 2" in err
+
+    def test_non_ascii_digit_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "rays.txt"
+        path.write_text("1 0\n0 \u0663\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert "bad coordinate token" in err and "line 2" in err
+        assert "Traceback" not in err
 
 
 class TestSignature:
@@ -234,6 +244,23 @@ class TestDataset:
         assert "unknown dataset" in err
 
 
+# Pauli-word arguments: valid 3-qubit words, wrong lengths, bad letters.
+PAULI_TOKENS = [str(w) for w in SATURATED_WORDS] + ["III", "XXX", "YII", "ixi", "XI",
+                                                    "XIII", "", "XIW", "-XII"]
+
+
+@st.composite
+def eigenray_words(draw):
+    """Seven words of a complete operator line, possibly with one word
+    replaced, or 0-9 arbitrary word tokens."""
+    if draw(st.booleans()):
+        words = [str(w) for w in draw(st.permutations(draw(st.sampled_from(OPERATOR_LINES))))]
+        if draw(st.booleans()):
+            words[draw(st.integers(0, 6))] = draw(st.sampled_from(PAULI_TOKENS))
+        return words
+    return draw(st.lists(st.sampled_from(PAULI_TOKENS), max_size=9))
+
+
 # Tokens the vector parser must reject or accept without a traceback.
 ODD_TOKENS = ["0", "1", "-1", "1j", "1+1j", "2-j", "oops", "0.5", "0.5j",
               "1e400j", "nanj", "infj", "j", "1/2", "--", "+", "9" * 30]
@@ -266,5 +293,16 @@ class TestFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([command, str(path), "--dim", str(dim)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(eigenray_words(), st.integers(-1, 3), st.integers(-1, 4))
+    def test_exit_codes_on_pauli_arguments(self, words, qubits, size):
+        for argv in (["pauli", "eigenrays", "--", *words],
+                     ["pauli", "tuples", "--qubits", str(qubits), "--size", str(size)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()

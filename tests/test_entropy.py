@@ -130,6 +130,27 @@ class TestMinimizeEntropy:
         with pytest.raises(ValueError, match="saturated"):
             minimize_entropy(n_config)
 
+    def test_saturation_checked_once_before_search(
+        self, m_config, n_config, monkeypatch
+    ):
+        import ksrays.entropy as entropy
+
+        calls = []
+        real = entropy.is_saturated
+        monkeypatch.setattr(
+            entropy, "is_saturated", lambda c: calls.append(c) or real(c)
+        )
+        minimize_entropy(m_config)
+        assert len(calls) == 1
+        # Any colouring search would now fail with a TypeError.
+        monkeypatch.setattr(entropy, "find_partition_colouring", None)
+        with pytest.raises(ValueError, match=r"^configuration is not saturated"):
+            minimize_entropy(n_config)
+
+    def test_report_rejects_unsaturated_input(self, n_config):
+        with pytest.raises(ValueError, match="saturated"):
+            entropy_report(n_config, uniform(n_config))
+
     def test_m_witness_is_exact_half_weight(self, m_config):
         rep = minimize_entropy(m_config)
         values = rep.witness.values

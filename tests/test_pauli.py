@@ -37,6 +37,110 @@ words3 = st.builds(
 )
 
 
+@st.composite
+def word_lists(draw):
+    """1-7 words on a common number of 1-3 qubits."""
+    n = draw(st.integers(1, 3))
+    letters = st.tuples(*[st.integers(0, 3)] * n)
+    return draw(st.lists(st.builds(PauliWord, letters), min_size=1, max_size=7))
+
+
+# --- reference algebra, independent of the symplectic bit kernel ---------
+
+#: The real-Y letters as 2x2 integer matrices, in code order I, X, Y, Z.
+LETTER_MATRICES = (
+    ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((0, 1), (-1, 0)),
+    ((1, 0), (0, -1)),
+)
+
+# _MUL[a][b] = (sign, code) for the 2x2 product A*B of letter codes.
+_MUL = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (1, 0), (-1, 3), (-1, 2)),
+    ((1, 2), (1, 3), (-1, 0), (-1, 1)),
+    ((1, 3), (1, 2), (1, 1), (1, 0)),
+)
+
+
+def ref_mul(a: SignedWord, b: SignedWord) -> SignedWord:
+    sign = a.sign * b.sign
+    codes = []
+    for ca, cb in zip(a.word.codes, b.word.codes):
+        s, c = _MUL[ca][cb]
+        sign *= s
+        codes.append(c)
+    return SignedWord(sign, PauliWord(tuple(codes)))
+
+
+def ref_commutes(a: PauliWord, b: PauliWord) -> bool:
+    odd = 0
+    for ca, cb in zip(a.codes, b.codes):
+        if ca and cb and ca != cb:
+            odd ^= 1
+    return odd == 0
+
+
+def ref_product_sign(words) -> int | None:
+    acc = SignedWord(1, PauliWord((0,) * words[0].n_qubits))
+    for w in words:
+        acc = ref_mul(acc, SignedWord(1, w))
+    return acc.sign if acc.word.is_identity() else None
+
+
+def ref_four_edges(vertices):
+    vertices = list(vertices)
+    neg, pos = [], []
+    for combo in combinations(range(len(vertices)), 4):
+        ws = [vertices[i] for i in combo]
+        if any(not ref_commutes(a, b) for a, b in combinations(ws, 2)):
+            continue
+        sign = ref_product_sign(ws)
+        if sign == -1:
+            neg.append(combo)
+        elif sign == 1:
+            pos.append(combo)
+    return neg, pos
+
+
+def ref_parity_tuples(n_qubits: int, s: int):
+    """Backtracking over a table of ref_commutes, in index order."""
+    words = [word_from_index(a, n_qubits) for a in range(1, 4**n_qubits)]
+    table = [[ref_commutes(a, b) for b in words] for a in words]
+    out = []
+
+    def extend(chosen: list[int], start: int):
+        if len(chosen) == s:
+            ws = tuple(words[i] for i in chosen)
+            sign = ref_product_sign(ws)
+            if sign is not None:
+                out.append((ws, sign))
+            return
+        for i in range(start, len(words)):
+            if all(table[j][i] for j in chosen):
+                extend(chosen + [i], i + 1)
+
+    extend([], 0)
+    return out
+
+
+def kron_matrix(w: PauliWord):
+    """Dense matrix of the word as a Kronecker product of letter matrices;
+    qubit k acts on bit k of the row and column index."""
+    dim = 1 << w.n_qubits
+    out = []
+    for r in range(dim):
+        row = []
+        for c in range(dim):
+            x = 1
+            for k, code in enumerate(w.codes):
+                x *= LETTER_MATRICES[code][(r >> k) & 1][(c >> k) & 1]
+            row.append(x)
+        out.append(row)
+    return out
+
+
 def matrix(w: PauliWord):
     """Dense integer matrix of the word in the real-Y convention."""
     dim = 1 << w.n_qubits
@@ -60,7 +164,7 @@ def mat_mul(a, b):
 def gray_walk_proofs(vertices):
     """Reference miner: every odd subset of the negative 4-edges, in Gray order."""
     vertices = tuple(vertices)
-    neg, pos = four_edges(vertices)
+    neg, pos = ref_four_edges(vertices)
     pos_set = {frozenset(c) for c in pos}
     edge_masks = [sum(1 << i for i in c) for c in neg]
     m = len(edge_masks)
@@ -149,6 +253,40 @@ class TestAlgebra:
         y_count = sum(1 for c in a.codes if c == 2)
         assert sq.sign == (-1) ** y_count
 
+    def test_mul_table_matches_letter_matrices(self):
+        for a in range(4):
+            for b in range(4):
+                sign, c = _MUL[a][b]
+                got = mat_mul(LETTER_MATRICES[a], LETTER_MATRICES[b])
+                assert got == [[sign * x for x in row] for row in LETTER_MATRICES[c]]
+
+    def test_apply_word_matches_kronecker_product(self):
+        for alpha in range(64):
+            w = word_from_index(alpha, 3)
+            assert matrix(w) == kron_matrix(w)
+
+    def test_kernel_matches_mul_table_on_all_two_qubit_pairs(self):
+        words = [word_from_index(a, 2) for a in range(16)]
+        for a in words:
+            for b in words:
+                for sign in (1, -1):
+                    got = pauli_mul(SignedWord(sign, a), SignedWord(1, b))
+                    assert got == ref_mul(SignedWord(sign, a), SignedWord(1, b))
+                assert commutes(a, b) == ref_commutes(a, b)
+                assert product_sign([a, b]) == ref_product_sign([a, b])
+
+    @given(word_lists())
+    def test_product_sign_matches_dense_product(self, words):
+        dim = 1 << words[0].n_qubits
+        prod = kron_matrix(words[0])
+        for w in words[1:]:
+            prod = mat_mul(prod, kron_matrix(w))
+        expected = None
+        for s in (1, -1):
+            if prod == [[s * (i == j) for j in range(dim)] for i in range(dim)]:
+                expected = s
+        assert product_sign(words) == expected == ref_product_sign(words)
+
     def test_product_sign_identity_detection(self):
         assert product_sign([word("XXI"), word("XXI")]) == 1
         assert product_sign([word("XII"), word("IXI"), word("XXI")]) == 1
@@ -171,6 +309,10 @@ class TestParityTuples:
     def test_three_qubit_seven_tuple_count(self):
         tuples = enumerate_parity_tuples(3, 7)
         assert len(tuples) == 135
+
+    @pytest.mark.parametrize("n_qubits, s", [(2, 3), (3, 4), (3, 7)])
+    def test_matches_backtracking_reference(self, n_qubits, s):
+        assert enumerate_parity_tuples(n_qubits, s) == ref_parity_tuples(n_qubits, s)
 
     def test_operator_lines_are_parity_tuples(self):
         tuples = {frozenset(ws) for ws, _ in enumerate_parity_tuples(3, 7)}
@@ -229,6 +371,29 @@ class TestParityProofs:
         bad = type(proof)(proof.vertices, ((members, -sign),) + proof.edges[1:])
         with pytest.raises(ValueError):
             verify_parity_proof(bad)
+
+    def test_non_commuting_member_detected(self):
+        proof = eight_edge_proof()
+        members, sign = proof.edges[0]
+        ws = [proof.vertices[i] for i in members]
+        swap = next(
+            i for i, v in enumerate(proof.vertices)
+            if i not in members and not commutes(v, ws[1])
+        )
+        bad = type(proof)(
+            proof.vertices, (((swap,) + members[1:], sign),) + proof.edges[1:]
+        )
+        with pytest.raises(ValueError, match="non-commuting"):
+            verify_parity_proof(bad)
+
+    def test_four_edges_match_combinations_reference(self):
+        assert four_edges(SATURATED_WORDS) == ref_four_edges(SATURATED_WORDS)
+        rng = random.Random(12)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            words = [word_from_index(rng.randrange(4**n), n)
+                     for _ in range(rng.randint(4, 16))]
+            assert four_edges(words) == ref_four_edges(words)
 
     def test_four_edge_counts_over_saturated_words(self):
         neg, pos = four_edges(SATURATED_WORDS)

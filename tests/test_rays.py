@@ -162,6 +162,14 @@ class TestVectorFormat:
         with pytest.raises(ValueError, match="token"):
             load_vectors("1 0 x 1", 2)
 
+    @pytest.mark.parametrize("token", ["1e400j", "infj", "nanj", "1_0", "\u0663"])
+    def test_odd_token_named(self, token):
+        # Overflowing, infinite and nan complex parts, underscores and
+        # non-ASCII digits all raise a ValueError that names the token.
+        with pytest.raises(ValueError, match="bad coordinate token") as info:
+            load_vectors(f"1 {token}", 2)
+        assert repr(token) in str(info.value)
+
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             load_vectors("1 0 0 1", 2, count=3)
