@@ -31,10 +31,10 @@ from .colouring import (
 )
 from .tropical import iter_witnesses, tropical_dimension
 from .entropy import (
+    InvalidWeightError,
     ProbabilityWeight,
     entropy_report,
     minimize_entropy,
-    validate_probability_weight,
 )
 from . import pauli
 
@@ -255,9 +255,12 @@ def _cmd_entropy(args) -> int:
     config = _load_input(args.input, args.dim, args.count)
     if args.witness:
         weight = _parse_weight(args.witness, config.n)
-        if not validate_probability_weight(config, weight):
-            raise InputError(f"{args.witness}: not a valid probability weight")
-        report = entropy_report(config, weight)
+        try:
+            report = entropy_report(config, weight)
+        except InvalidWeightError:
+            raise InputError(
+                f"{args.witness}: not a valid probability weight"
+            ) from None
     else:
         report = minimize_entropy(config)
     if report.equientropic:

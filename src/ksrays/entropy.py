@@ -55,6 +55,10 @@ class WeightSpec:
     clique_multiplicities: dict[tuple[int, ...], tuple[int, ...]]
 
 
+class InvalidWeightError(ValueError):
+    """The weight does not sum to 1 on every maximal clique."""
+
+
 def _xlogx(p: float) -> float:
     return 0.0 if p == 0 else p * math.log(p)
 
@@ -108,7 +112,7 @@ def _report(config: Configuration, f: ProbabilityWeight, tol: float) -> EntropyR
     """:func:`entropy_report` on a configuration already known to be saturated."""
     cliques = maximal_cliques(config)
     if not _sums_to_one(config, f, cliques, CLIQUE_SUM_TOL):
-        raise ValueError("not a valid probability weight")
+        raise InvalidWeightError("not a valid probability weight")
     exact = f.exact
     per: dict[tuple[int, ...], float] = {}
     multisets = set()

@@ -9,8 +9,13 @@ its orthogonality graph.
 
 from __future__ import annotations
 
+import re
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from struct import Struct
 from typing import Iterable, Sequence
 
 
@@ -226,52 +231,70 @@ class Configuration:
         d-clique masks are the parent's, compressed to the kept indices.
         The d-cliques of an induced subgraph are exactly the parent's
         d-cliques inside it, and the compression keeps their order.
+        Raises ValueError on an index outside 0..n-1.
         """
         from .orthograph import clique_masks
 
         idx = sorted(set(indices))
+        if idx and (idx[0] < 0 or idx[-1] >= self.n):
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise ValueError(f"ray index {bad} out of range for {self.n} rays")
         keep = sum(1 << i for i in idx)
-        runs = _runs(keep)
+        words = [self.adj[i] for i in idx]
+        words += [c for c in clique_masks(self) if c & keep == c]
+        packed = _compress(words, keep, self.n)
         child = object.__new__(Configuration)
         put = object.__setattr__
         put(child, "rays", tuple(self.rays[i] for i in idx))
         put(child, "dim", self.dim if idx else 0)
         put(child, "n", len(idx))
-        put(child, "adj", _compress([self.adj[i] for i in idx], runs))
+        put(child, "adj", packed[: len(idx)])
         put(child, "_signature", None)
-        put(child, "_cliques", _compress(
-            [c for c in clique_masks(self) if c & keep == c], runs
-        ))
+        put(child, "_cliques", packed[len(idx):])
         return child
 
     def delete(self, index: int) -> "Configuration":
+        """Subconfiguration without ray `index`; ValueError if out of range."""
+        if not 0 <= index < self.n:
+            raise ValueError(f"ray index {index} out of range for {self.n} rays")
         return self.restrict(i for i in range(self.n) if i != index)
 
 
-def _runs(keep: int) -> list[tuple[int, int, int]]:
-    """Maximal runs of set bits as (low bit, width mask, packed offset)."""
-    runs = []
-    dest = 0
+_LIMB = array("Q").itemsize  # bytes in one 64-bit limb
+
+
+def _compress(words: list[int], keep: int, n: int) -> tuple[int, ...]:
+    """Each word's bits at the set bits of keep, packed to the low end in order.
+
+    The words, all below 2**n, lie side by side in strides of whole
+    limbs of one integer, so each maximal run of keep is taken from
+    every word at once by one shift and one mask with a copy of the run
+    in every stride.
+    """
+    count = len(words)
+    size = _LIMB * max(1, -(-n // (8 * _LIMB)))  # stride in bytes
+    order = sys.byteorder
+    if size == _LIMB:
+        big = int.from_bytes(array("Q", words), order)
+    else:
+        big = int.from_bytes(b"".join([w.to_bytes(size, order) for w in words]), order)
+    # One set bit at the bottom of every stride.
+    rep = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+    out = dest = 0
     while keep:
         lo = (keep & -keep).bit_length() - 1
         run = keep >> lo
         width = (~run & (run + 1)).bit_length() - 1  # trailing ones of run
-        mask = (1 << width) - 1
-        runs.append((lo, mask, dest))
+        ones = (1 << width) - 1
+        out |= ((big >> lo) & (ones * rep)) << dest
         dest += width
-        keep ^= mask << lo
-    return runs
-
-
-def _compress(words: list[int], runs) -> tuple[int, ...]:
-    """Each word's bits inside the runs, packed to the low end in order."""
-    out = []
-    for w in words:
-        x = 0
-        for lo, width, dest in runs:
-            x |= (w >> lo & width) << dest
-        out.append(x)
-    return tuple(out)
+        keep ^= ones << lo
+    data = out.to_bytes(size * count, order)
+    if size == _LIMB:
+        return tuple(array("Q", data))
+    # The Struct cuts data into one chunk per word without a Python loop.
+    chunks = Struct(f"{size}s" * count).unpack(data)
+    return tuple(map(int.from_bytes, chunks, repeat(order)))
 
 
 def build_configuration(rays: Sequence[Ray]) -> Configuration:
@@ -287,16 +310,31 @@ def _format_coord(c: GaussianInt) -> str:
     return f"{c.re}{c.im:+d}j"
 
 
+#: Integer-literal Gaussian tokens: "bj", "a+bj", "a-bj", optionally in
+#: parentheses.  These parse exactly through int().
+_GAUSSIAN_TOKEN = re.compile(
+    r"(?P<open>\()?(?P<re>[+-]?[0-9]+)?(?P<im>(?(re)[+-]|[+-]?)[0-9]+)[jJ](?(open)\))"
+)
+
+
 def _parse_coord(token: str) -> GaussianInt:
     # int() and complex() also take "1_0" and non-ASCII digits, and
-    # complex() gives inf or nan, which gi() cannot convert.
+    # complex() gives inf or nan, which gi() cannot convert.  Any other
+    # complex syntax ("1e2j", "1.0j", "j") goes through complex(), a
+    # float, which is exact only for parts of magnitude below 2**53.
     try:
         if not token.isascii() or "_" in token:
             raise ValueError("not an ASCII number without underscores")
-        if "j" in token or "J" in token:
-            return gi(complex(token))
-        return GaussianInt(int(token), 0)
-    except (ValueError, OverflowError) as exc:
+        if "j" not in token and "J" not in token:
+            return GaussianInt(int(token), 0)
+        m = _GAUSSIAN_TOKEN.fullmatch(token)
+        if m:
+            return GaussianInt(int(m["re"] or 0), int(m["im"]))
+        z = complex(token)
+        if not (abs(z.real) < 2**53 and abs(z.imag) < 2**53):
+            raise ValueError("complex part too large to read exactly")
+        return gi(z)
+    except ValueError as exc:
         raise ValueError(f"bad coordinate token {token!r}") from exc
 
 

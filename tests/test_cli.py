@@ -145,7 +145,31 @@ class TestEntropy:
         path.write_text("".join(f"{i} 1/4\n" for i in range(64)))
         code, _, err = run(capsys, "entropy", "M", "--witness", str(path))
         assert code == 2
-        assert "probability weight" in err
+        assert err == f"error: {path}: not a valid probability weight\n"
+
+    @pytest.mark.parametrize("value, code", [("1/8", 0), ("1/4", 2)])
+    def test_witness_checks_saturation_once(
+        self, capsys, tmp_path, monkeypatch, value, code
+    ):
+        import ksrays.entropy as entropy
+
+        calls = []
+        real = entropy.is_saturated
+        monkeypatch.setattr(
+            entropy, "is_saturated", lambda c: calls.append(c) or real(c)
+        )
+        path = tmp_path / "weight.txt"
+        path.write_text("".join(f"{i} {value}\n" for i in range(64)))
+        assert run(capsys, "entropy", "M", "--witness", str(path))[0] == code
+        assert len(calls) == 1
+
+    def test_unsaturated_input_with_witness_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "weight.txt"
+        path.write_text("".join(f"{i} 1/8\n" for i in range(builtin("N").n)))
+        code, out, err = run(capsys, "entropy", "N", "--witness", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: configuration is not saturated")
 
     def test_missing_witness_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "absent.txt"

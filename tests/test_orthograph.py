@@ -142,7 +142,7 @@ class TestSubconfigurations:
     """Restrictions inherit the parent's clique masks and adjacency; both
     must equal what a configuration built from the same rays computes."""
 
-    @pytest.mark.parametrize("name, seed", [("M", 21), ("E8", 22), ("B", 23)])
+    @pytest.mark.parametrize("name, seed", [("M", 21), ("E8", 22), ("B", 23), ("A", 24)])
     def test_inherited_data_matches_fresh_build(self, name, seed):
         parent = builtin(name)
         subs = list(

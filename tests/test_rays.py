@@ -12,6 +12,8 @@ from ksrays.rays import (
     GaussianInt,
     Ray,
     UNITS,
+    _compress,
+    _parse_coord,
     build_configuration,
     dump_vectors,
     gi,
@@ -145,6 +147,38 @@ class TestConfiguration:
         assert smaller.n == n_config.n - 1
         assert n_config.rays[3] not in smaller.rays
 
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_delete_out_of_range_named(self, m_config, index):
+        with pytest.raises(ValueError, match=rf"^ray index {index} out of range"):
+            m_config.delete(index)
+
+    @pytest.mark.parametrize("indices, bad", [([0, 5, 64], 64), ([-1, 3], -1)])
+    def test_restrict_out_of_range_named(self, m_config, indices, bad):
+        with pytest.raises(ValueError, match=rf"^ray index {bad} out of range"):
+            m_config.restrict(indices)
+
+
+def _compress_per_bit(words, keep, n):
+    """Reference for _compress: one bit at a time."""
+    kept = [i for i in range(n) if keep >> i & 1]
+    return tuple(
+        sum((w >> i & 1) << k for k, i in enumerate(kept)) for w in words
+    )
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_compress_matches_per_bit_reference(n):
+    import random
+
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    keeps = {0, full, full & int("01" * n, 2), full & int("10" * n, 2)}
+    keeps |= {full ^ 1 << edge for edge in (63, 64) if edge < n}
+    randoms = [rng.getrandbits(n) for _ in range(40)]
+    for keep in sorted(keeps):
+        for words in ([], [full], randoms + [full, 0]):
+            assert _compress(words, keep, n) == _compress_per_bit(words, keep, n)
+
 
 class TestVectorFormat:
     def test_round_trip(self, m_config):
@@ -169,6 +203,47 @@ class TestVectorFormat:
         with pytest.raises(ValueError, match="bad coordinate token") as info:
             load_vectors(f"1 {token}", 2)
         assert repr(token) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [
+            ("9007199254740993j", GaussianInt(0, 2**53 + 1)),
+            ("-9007199254740993", GaussianInt(-(2**53) - 1, 0)),
+            ("9007199254740993-9007199254740995j", GaussianInt(2**53 + 1, -(2**53) - 3)),
+            ("(1+9007199254740993J)", GaussianInt(1, 2**53 + 1)),
+            ("(+7j)", GaussianInt(0, 7)),
+            ("12j", GaussianInt(0, 12)),
+        ],
+    )
+    def test_integer_gaussian_tokens_exact(self, token, value):
+        assert _parse_coord(token) == value
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("1e2j", GaussianInt(0, 100)), ("1.0j", GaussianInt(0, 1)),
+         ("j", GaussianInt(0, 1)), ("2-j", GaussianInt(2, -1))],
+    )
+    def test_other_complex_syntax(self, token, value):
+        assert _parse_coord(token) == value
+
+    @pytest.mark.parametrize(
+        "token", ["9007199254740992.0j", "1e16j", "9007199254740993.0+1j", "(1+2j", "3+-2j"]
+    )
+    def test_unreadable_complex_token_named(self, token):
+        # A float part of magnitude 2**53 or more may already be rounded;
+        # unbalanced parentheses and doubled signs are malformed.
+        with pytest.raises(ValueError, match="bad coordinate token") as info:
+            _parse_coord(token)
+        assert repr(token) in str(info.value)
+
+    def test_large_gaussian_round_trip(self):
+        big = GaussianInt(0, 2**60 + 1)
+        config = build_configuration([make_ray([1, big]), make_ray([1, 0])])
+        text = dump_vectors(config)
+        assert "+1152921504606846977j" in text
+        again = load_vectors(text, 2)
+        assert again == config
+        assert again.rays[0].coords[1] == big
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
