@@ -143,6 +143,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_tropical(args) -> int:
     config = _load_input(args.input, args.dim, args.count)
     max_n = args.max_n if args.max_n is not None else config.dim - 2
+    if max_n < 1:
+        raise InputError(f"--max-n must be at least 1, got {max_n}")
     t0 = time.perf_counter()
     if args.exhaustive:
         return _tropical_exhaustive(config, max_n, args.state, t0)
@@ -245,6 +247,10 @@ def _parse_weight(path: str, n: int) -> ProbabilityWeight:
                 raise InputError(
                     f"{path}: bad weight entry at line {lineno}"
                 ) from exc
+            if idx in values:
+                raise InputError(
+                    f"{path}: ray index {idx} given twice, again at line {lineno}"
+                )
             values[idx] = val
     if sorted(values) != list(range(n)):
         raise InputError(f"{path}: need exactly one value per ray index 0..{n - 1}")

@@ -3,13 +3,18 @@
 The enumeration kernel is an ordered backtracking over index-increasing
 extensions with bitset candidate intersection; anticlique counting reuses
 the same kernel on the complement graph.  The d-cliques are cached on
-each configuration as bitmasks and inherited by its restrictions; the
+each configuration as bitmasks and inherited by its restrictions, which
+find them through the per-ray clique-incidence bitsets; the
 anticlique-section search over them also decides KS colourability.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, rshift
 
 from .rays import Configuration
 
@@ -98,7 +103,9 @@ def clique_masks(config: Configuration) -> tuple[int, ...]:
     """All cliques of size d as bitmasks, lexicographic (cached per instance).
 
     Every configuration in scope has clique number d; use
-    :func:`is_saturated` to detect smaller dead-end cliques.
+    :func:`is_saturated` to detect smaller dead-end cliques.  Each level
+    stops once fewer candidates remain than picks still needed, and the
+    last two picks are the edges inside the candidate set.
     """
     cached = config._cliques
     if cached is not None:
@@ -106,22 +113,74 @@ def clique_masks(config: Configuration) -> tuple[int, ...]:
     d = config.dim
     rows = config.adj
     out: list[int] = []
+    append = out.append
 
-    def rec(cand: int, size: int, clique: int) -> None:
-        while cand:
+    def rec(cand: int, need: int, clique: int) -> None:
+        left = cand.bit_count()
+        if need == 2:
+            while left > 1:
+                low = cand & -cand
+                cand ^= low
+                left -= 1
+                base = clique | low
+                nxt = cand & rows[low.bit_length() - 1]
+                while nxt:
+                    pick = nxt & -nxt
+                    nxt ^= pick
+                    append(base | pick)
+            return
+        while left >= need:
             low = cand & -cand
             cand ^= low
-            if size + 1 == d:
-                out.append(clique | low)
-            else:
-                nxt = cand & rows[low.bit_length() - 1]
-                if nxt.bit_count() >= d - size - 1:
-                    rec(nxt, size + 1, clique | low)
+            left -= 1
+            nxt = cand & rows[low.bit_length() - 1]
+            if nxt.bit_count() >= need - 1:
+                rec(nxt, need - 1, clique | low)
 
-    rec((1 << config.n) - 1, 0, 0)
+    if d == 1:
+        out = [1 << i for i in range(config.n)]
+    elif d:
+        rec((1 << config.n) - 1, d, 0)
     masks = tuple(out)
     object.__setattr__(config, "_cliques", masks)
     return masks
+
+
+#: _FLAG_OF_BIT[k] maps a byte to b"1" if its bit k is set, else b"0".
+_FLAG_OF_BIT = tuple(
+    bytes(49 if b >> k & 1 else 48 for b in range(256)) for k in range(8)
+)
+_LIMB_MASK = (1 << 64) - 1
+#: XOR with a byte's place in a little-endian limb gives its place in
+#: the native array("Q") layout.
+_NATIVE_BYTE = 0 if sys.byteorder == "little" else 7
+
+
+def clique_incidence(config: Configuration) -> tuple[int, ...]:
+    """Per-ray bitsets over the d-cliques (cached per instance).
+
+    Bit j of entry v is set iff ray v lies in clique_masks(config)[j].
+    Limb k of every mask goes into one array("Q"), so the byte holding
+    ray v recurs every 8 bytes of limb v >> 6; translating that byte
+    slice to "0"/"1" by bit v & 7 gives the bitset's binary digits.
+    The arrays are filled from iterators, which keeps the transient
+    memory at about one buffer per limb.
+    """
+    cached = config._incidence
+    if cached is not None:
+        return cached
+    masks = clique_masks(config)
+    limbs = []
+    for k in range(-(-config.n // 64)):
+        limb = map(and_, map(rshift, masks, repeat(64 * k)), repeat(_LIMB_MASK))
+        limbs.append(array("Q", limb).tobytes())
+    bitsets = []
+    for v in range(config.n):
+        column = limbs[v >> 6][(v >> 3 & 7) ^ _NATIVE_BYTE :: 8]
+        bitsets.append(int(column.translate(_FLAG_OF_BIT[v & 7])[::-1] or b"0", 2))
+    out = tuple(bitsets)
+    object.__setattr__(config, "_incidence", out)
+    return out
 
 
 def _bits(mask: int) -> tuple[int, ...]:

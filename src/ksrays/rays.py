@@ -13,8 +13,10 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import compress, repeat
 from math import gcd
+from operator import or_
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -175,7 +177,7 @@ class Configuration:
     order and is deterministic.
     """
 
-    __slots__ = ("rays", "dim", "n", "adj", "_signature", "_cliques")
+    __slots__ = ("rays", "dim", "n", "adj", "_signature", "_cliques", "_incidence")
 
     def __init__(self, rays: Sequence[Ray], adj: Sequence[int] | None = None):
         rays = tuple(rays)
@@ -208,6 +210,7 @@ class Configuration:
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_signature", None)
         object.__setattr__(self, "_cliques", None)
+        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -221,27 +224,26 @@ class Configuration:
     def __hash__(self) -> int:
         return hash(self.rays)
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def restrict(self, indices: Iterable[int]) -> "Configuration":
         """Subconfiguration on the given ray indices, in sorted order.
 
         The child is built without re-validation: its adjacency rows and
         d-clique masks are the parent's, compressed to the kept indices.
         The d-cliques of an induced subgraph are exactly the parent's
-        d-cliques inside it, and the compression keeps their order.
-        Raises ValueError on an index outside 0..n-1.
+        d-cliques through none of the dropped rays, and the compression
+        keeps their order.  Raises ValueError on an index outside 0..n-1.
         """
-        from .orthograph import clique_masks
+        from .orthograph import clique_incidence, clique_masks
 
         idx = sorted(set(indices))
         if idx and (idx[0] < 0 or idx[-1] >= self.n):
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise ValueError(f"ray index {bad} out of range for {self.n} rays")
         keep = sum(1 << i for i in idx)
+        masks = clique_masks(self)
+        hit = reduce(or_, compress(clique_incidence(self), _bit_flags(~keep, self.n)), 0)
         words = [self.adj[i] for i in idx]
-        words += [c for c in clique_masks(self) if c & keep == c]
+        words += compress(masks, _bit_flags(~hit, len(masks)))
         packed = _compress(words, keep, self.n)
         child = object.__new__(Configuration)
         put = object.__setattr__
@@ -251,6 +253,7 @@ class Configuration:
         put(child, "adj", packed[: len(idx)])
         put(child, "_signature", None)
         put(child, "_cliques", packed[len(idx):])
+        put(child, "_incidence", None)
         return child
 
     def delete(self, index: int) -> "Configuration":
@@ -262,14 +265,24 @@ class Configuration:
 
 _LIMB = array("Q").itemsize  # bytes in one 64-bit limb
 
+#: Maps the digits b"0" and b"1" to the bytes 0 and 1.
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int, width: int) -> bytes:
+    """One byte per bit of mask below width, lowest first: 1 if set, else 0."""
+    low = mask & ((1 << width) - 1)
+    return bin(low | 1 << width)[:2:-1].encode().translate(_DIGIT_VALUE)
+
 
 def _compress(words: list[int], keep: int, n: int) -> tuple[int, ...]:
     """Each word's bits at the set bits of keep, packed to the low end in order.
 
     The words, all below 2**n, lie side by side in strides of whole
-    limbs of one integer, so each maximal run of keep is taken from
-    every word at once by one shift and one mask with a copy of the run
-    in every stride.
+    limbs of one integer.  Step i of the log-step compress of Hacker's
+    Delight, section 7-4, moves every kept bit whose count of dropped
+    bits below it has bit i set down by 2**i, in every stride at once;
+    a step that moves nothing is skipped, so a single delete is one step.
     """
     count = len(words)
     size = _LIMB * max(1, -(-n // (8 * _LIMB)))  # stride in bytes
@@ -280,16 +293,28 @@ def _compress(words: list[int], keep: int, n: int) -> tuple[int, ...]:
         big = int.from_bytes(b"".join([w.to_bytes(size, order) for w in words]), order)
     # One set bit at the bottom of every stride.
     rep = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
-    out = dest = 0
-    while keep:
-        lo = (keep & -keep).bit_length() - 1
-        run = keep >> lo
-        width = (~run & (run + 1)).bit_length() - 1  # trailing ones of run
-        ones = (1 << width) - 1
-        out |= ((big >> lo) & (ones * rep)) << dest
-        dest += width
-        keep ^= ones << lo
-    data = out.to_bytes(size * count, order)
+    full = (1 << n) - 1
+    big &= keep * rep
+    # mk starts with one bit above each dropped bit.  At step i, the XOR
+    # of mk's bits at or below p (mp) is bit i of the number of dropped
+    # bits below p.
+    mk = (~keep << 1) & full
+    shift = 1
+    while mk:
+        mp = mk ^ (mk << 1)
+        span = 2
+        while span < n:
+            mp ^= mp << span
+            span <<= 1
+        mp &= full
+        move = mp & keep
+        if move:
+            keep = keep ^ move | move >> shift
+            t = big & (move * rep)
+            big = big ^ t | t >> shift
+        mk &= ~mp
+        shift <<= 1
+    data = big.to_bytes(size * count, order)
     if size == _LIMB:
         return tuple(array("Q", data))
     # The Struct cuts data into one chunk per word without a Python loop.
@@ -364,7 +389,33 @@ def load_vectors(text: str, dim: int, count: int | None = None) -> Configuration
             f"expected {count * dim} coordinates, found {len(tokens)}"
         )
     rays = []
+    rows: dict[tuple, int] = {}
     for i in range(count):
         coords = [_parse_coord(t) for t in tokens[i * dim : (i + 1) * dim]]
         rays.append(make_ray(coords))
+        key = _direction_key(coords)
+        if key in rows:
+            raise ValueError(
+                f"rows {rows[key]} and {i} (counting from 0) are parallel "
+                f"vectors, so they are one ray"
+            )
+        rows[key] = i
     return build_configuration(rays)
+
+
+def _direction_key(coords: Sequence[GaussianInt]) -> tuple:
+    """The vector divided by its first nonzero coordinate, exactly.
+
+    Two nonzero vectors span the same ray iff their keys are equal.
+    Each entry is c / lead = c * conj(lead) / |lead|**2 as a pair of
+    Fractions (real part, imaginary part).
+    """
+    from fractions import Fraction
+
+    lead = next(c for c in coords if not c.is_zero())
+    norm = lead.re * lead.re + lead.im * lead.im
+    out = []
+    for c in coords:
+        q = c * lead.conjugate()
+        out.append((Fraction(q.re, norm), Fraction(q.im, norm)))
+    return tuple(out)

@@ -104,8 +104,11 @@ def tropical_dimension(
     the independent n-sets of the graph on U: a clique holds at most one
     pick, so n picks meet each of the n cliques once.  The verdict thus
     depends on U alone, and the disjoint scan decides each distinct
-    union once; its witnesses share one ray set per union.
+    union once; its witnesses share one ray set per union.  Raises
+    ValueError if max_n < 1.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     rng = rng or random.Random(20240901)
     masks = clique_masks(config)
     m = len(masks)

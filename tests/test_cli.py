@@ -55,6 +55,16 @@ class TestCheck:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text", ["1 1\n2 2\n1 -1\n", "1 1\n1+1j 1+1j\n"])
+    def test_parallel_vectors_are_an_error(self, capsys, tmp_path, text):
+        path = tmp_path / "rays.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: rows 0 and 1 ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_non_ascii_digit_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "rays.txt"
         path.write_text("1 0\n0 \u0663\n", encoding="utf-8")
@@ -171,6 +181,14 @@ class TestEntropy:
         assert out == ""
         assert err.startswith("error: configuration is not saturated")
 
+    def test_repeated_witness_index_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "weight.txt"
+        path.write_text("".join(f"{i} 1/8\n" for i in range(64)) + "0 1/8\n")
+        code, out, err = run(capsys, "entropy", "M", "--witness", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: ray index 0 given twice, again at line 65\n"
+
     def test_missing_witness_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "absent.txt"
         code, _, err = run(capsys, "entropy", "M", "--witness", str(path))
@@ -203,6 +221,15 @@ class TestTropical:
         assert err.startswith("error: orthogonal pair (0, 1)")
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+    def test_max_n_below_one_is_an_error(self, capsys, value, extra):
+        code, out, err = run(capsys, "tropical", "M", "--max-n", value, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-n must be at least 1, got {value}\n"
 
 
 class TestPauli:

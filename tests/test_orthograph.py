@@ -21,6 +21,7 @@ from ksrays.orthograph import (
     _size_counts,
     _trim,
     capacity,
+    clique_incidence,
     clique_masks,
     count_anticliques,
     count_cliques,
@@ -136,6 +137,125 @@ class TestMaximalCliques:
 
     def test_matches_clique_count_row(self, t0_config):
         assert len(maximal_cliques(t0_config)) == signature(t0_config).cliques[-1]
+
+
+def _clique_masks_reference(rows, n: int, d: int) -> tuple[int, ...]:
+    """The d-cliques by plain backtracking: every level runs to the end of
+    its candidates and only prunes a child with too few candidates."""
+    out: list[int] = []
+
+    def rec(cand: int, size: int, clique: int) -> None:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if size + 1 == d:
+                out.append(clique | low)
+            else:
+                nxt = cand & rows[low.bit_length() - 1]
+                if nxt.bit_count() >= d - size - 1:
+                    rec(nxt, size + 1, clique | low)
+
+    rec((1 << n) - 1, 0, 0)
+    return tuple(out)
+
+
+def _graph(rows, d: int) -> Configuration:
+    """A fresh configuration with the given adjacency; the rays are
+    distinct placeholders and play no part in any clique computation."""
+    rays = [make_ray([k + 1] + [0] * (d - 1)) for k in range(len(rows))]
+    return Configuration(rays, rows)
+
+
+def _random_rows(rng, n: int, density: float) -> list[int]:
+    rows = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+class TestCliqueKernel:
+    """clique_masks against the plain backtracking reference: the same
+    masks in the same order, on fresh configurations."""
+
+    @pytest.mark.parametrize("name", ["M", "T0", "N", "KP40", "A", "B", "E8"])
+    def test_builtins_match_reference(self, name):
+        config = builtin(name)
+        fresh = Configuration(config.rays, config.adj)
+        got = clique_masks(fresh)
+        assert got == _clique_masks_reference(config.adj, config.n, config.dim)
+        assert got == clique_masks(config)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_graphs_match_reference(self, d, seed):
+        import random
+
+        rng = random.Random(100 * d + seed)
+        n = rng.randint(16, 32)
+        density = {1: 0.3, 2: 0.1, 3: 0.4, 4: 0.5, 8: 0.8}[d]
+        config = _graph(_random_rows(rng, n, density), d)
+        subs = [config]
+        for _ in range(3):
+            sub = config.restrict(rng.sample(range(n), rng.randint(0, n)))
+            subs.append(_graph(sub.adj, d) if sub.n else sub)
+        for sub in subs:
+            assert clique_masks(sub) == _clique_masks_reference(sub.adj, sub.n, sub.dim)
+        assert any(not is_saturated(sub)[0] for sub in subs if sub.n) or d == 1
+
+    def test_empty_configuration(self):
+        assert clique_masks(Configuration([])) == ()
+
+
+def _incidence_per_bit(masks, n: int) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << j for j, mask in enumerate(masks) if mask >> v & 1)
+        for v in range(n)
+    )
+
+
+class TestCliqueIncidence:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 128, 129])
+    def test_matches_per_bit_reference(self, n):
+        import random
+
+        rng = random.Random(n)
+        config = _graph([0] * n, 3)
+        full = (1 << n) - 1
+        masks = tuple(rng.getrandbits(n) for _ in range(50)) + (full, 0, 1 << (n - 1))
+        object.__setattr__(config, "_cliques", masks)
+        assert clique_incidence(config) == _incidence_per_bit(masks, n)
+
+    def test_empty_clique_list(self):
+        config = _graph([0] * 9, 2)
+        assert clique_masks(config) == ()
+        assert clique_incidence(config) == (0,) * 9
+
+    def test_matches_reference_on_builtins(self, m_config):
+        for config in (m_config, builtin("B")):
+            got = clique_incidence(config)
+            assert got == _incidence_per_bit(clique_masks(config), config.n)
+            assert clique_incidence(config) is got  # cached
+
+    def test_restricted_child_rebuilds_incidence(self):
+        import random
+
+        rng = random.Random(16)
+        b = builtin("B")
+        clique_incidence(b)
+        child = b.restrict(rng.sample(range(b.n), 100))
+        assert child._incidence is None
+        child_inc = clique_incidence(child)
+        assert child_inc == _incidence_per_bit(clique_masks(child), child.n)
+        grandchild = child.restrict(rng.sample(range(child.n), 70))
+        assert grandchild._incidence is None
+        fresh = Configuration(grandchild.rays)
+        assert grandchild.adj == fresh.adj
+        assert clique_masks(grandchild) == clique_masks(fresh)
+        assert clique_incidence(grandchild) == _incidence_per_bit(
+            clique_masks(fresh), fresh.n
+        )
 
 
 class TestSubconfigurations:

@@ -180,6 +180,20 @@ def test_compress_matches_per_bit_reference(n):
             assert _compress(words, keep, n) == _compress_per_bit(words, keep, n)
 
 
+@pytest.mark.parametrize("n", [2, 9, 48, 64, 65, 128, 129])
+def test_compress_random_keeps_match_per_bit_reference(n):
+    import random
+
+    rng = random.Random(1000 + n)
+    full = (1 << n) - 1
+    words = [rng.getrandbits(n) for _ in range(20)] + [full, 0]
+    keeps = [rng.getrandbits(n) for _ in range(30)]
+    keeps += [full ^ (1 << rng.randrange(n)) for _ in range(5)]  # single deletes
+    keeps += [full >> rng.randrange(n) << rng.randrange(n) & full for _ in range(5)]
+    for keep in keeps:
+        assert _compress(words, keep, n) == _compress_per_bit(words, keep, n)
+
+
 class TestVectorFormat:
     def test_round_trip(self, m_config):
         text = dump_vectors(m_config)
@@ -191,6 +205,24 @@ class TestVectorFormat:
         text = dump_vectors(config)
         assert "0+1j" in text
         assert load_vectors(text, 2) == config
+
+    @pytest.mark.parametrize(
+        "text, dim, rows",
+        [
+            ("1 1\n2 2\n1 -1\n", 2, (0, 1)),
+            ("1 1\n1+1j 1+1j\n", 2, (0, 1)),
+            ("1 0 0\n0 2 2j\n0 1+1j -1+1j\n", 3, (1, 2)),
+            ("0 1\n1 0\n0 -1j\n", 2, (0, 2)),
+        ],
+    )
+    def test_parallel_vectors_rejected(self, text, dim, rows):
+        a, b = rows
+        with pytest.raises(ValueError, match=rf"^rows {a} and {b} .*parallel"):
+            load_vectors(text, dim)
+
+    def test_non_parallel_vectors_accepted(self):
+        config = load_vectors("1 1\n1 -1\n1 1j\n1 2\n2 1\n", 2)
+        assert config.n == 5
 
     def test_bad_token_reported(self):
         with pytest.raises(ValueError, match="token"):

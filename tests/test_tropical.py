@@ -151,6 +151,11 @@ class TestTropicalDimension:
         with pytest.raises(ValueError, match="no maximal clique"):
             tropical_dimension(n_config, 3)
 
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_max_n_below_one_rejected(self, m_config, max_n):
+        with pytest.raises(ValueError, match=rf"^max_n must be at least 1, got {max_n}$"):
+            tropical_dimension(m_config, max_n)
+
     def test_small_instance_full_scan(self):
         # Classic 18-ray, 9-basis contextuality set in dimension 4: the
         # nine bases admit no independent transversal, every smaller
