@@ -144,7 +144,8 @@ def _cmd_tropical(args) -> int:
     config = _load_input(args.input, args.dim, args.count)
     max_n = args.max_n if args.max_n is not None else config.dim - 2
     if max_n < 1:
-        raise InputError(f"--max-n must be at least 1, got {max_n}")
+        default = " (the default, dimension - 2)" if args.max_n is None else ""
+        raise InputError(f"--max-n must be at least 1, got {max_n}{default}")
     t0 = time.perf_counter()
     if args.exhaustive:
         return _tropical_exhaustive(config, max_n, args.state, t0)

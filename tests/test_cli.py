@@ -231,6 +231,14 @@ class TestTropical:
         assert out == ""
         assert err == f"error: --max-n must be at least 1, got {value}\n"
 
+    def test_default_max_n_below_one_is_named(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("1 0\n0 1\n")
+        code, out, err = run(capsys, "tropical", str(path), "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-n must be at least 1, got 0 (the default, dimension - 2)\n"
+
 
 class TestPauli:
     def test_lines_listed(self, capsys):
