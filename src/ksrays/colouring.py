@@ -1,12 +1,13 @@
 """Decision procedures for KS and partition-compatible colourings.
 
-KS colourability is decided by the anticlique-section search of
-:mod:`orthograph`: one ray per maximal clique is chosen to carry the
-value 1, orthogonal rays are forced to 0, and the search backtracks over
-the most-constrained clique first.
-A naive alternative, enumerating every independent set and testing the
-one-per-clique condition, is equivalent but far larger; the two are
-cross-checked in the test suite on small instances.
+Both rest on the exact-hit search of :mod:`orthograph`.  A KS colouring
+is an anticlique section of all d-cliques: one ray per clique carries
+the value 1 and its orthogonal rays are forced to 0.  A colouring of a
+partition is one exact-hit search per colour class, each class meeting
+every clique in exactly its part's number of rays.  A naive alternative,
+enumerating every independent set and testing the one-per-clique
+condition, is equivalent but far larger; the two are cross-checked in
+the test suite on small instances.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def verify_partition_colouring(config: Configuration, colouring: Colouring) -> b
         counts = [0] * len(part)
         for v in clique:
             c = colouring.values[v]
-            if c >= len(part):
+            if not 0 <= c < len(part):
                 return False
             counts[c] += 1
         if tuple(counts) != part:
@@ -141,67 +142,45 @@ def find_partition_colouring(
     """A colouring compatible with the partition, or None (exhaustive).
 
     A :func:`parity_proof` refutes any partition with an odd part at
-    once.  Otherwise the search backtracks over rays in a clique-grouped
-    order with per-clique colour-count bookkeeping; colours of equal
-    multiplicity are symmetry-broken by order of first use.
+    once.  Otherwise colour j's rays are one exact-hit search of quota
+    part[j] over the clique masks minus the rays already coloured, from
+    the last part down to the second; each class found starts the search
+    for the next, and the first part takes whatever rays remain.  A pick
+    forbids its clique-mates in a class of one ray per clique, and only
+    itself in a larger one.  Classes of one size are symmetric, so each
+    must start above the lowest ray of the class found before it.
     """
     part = _check_partition(partition, config.dim)
     if any(p % 2 for p in part) and parity_proof(config) is not None:
         return None
-    s = len(part)
-    cliques = maximal_cliques(config)
-    n = config.n
+    masks = clique_masks(config)
+    selves = [1 << v for v in range(config.n)]
+    mates = list(selves)
+    for mask in masks:
+        for v in _bits(mask):
+            mates[v] |= mask
+    classes = [0] * len(part)
 
-    # Process rays so that cliques complete early: walk the cliques in
-    # order and append unseen members.
-    order: list[int] = []
-    seen = [False] * n
-    for c in cliques:
-        for v in c:
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-    for v in range(n):
-        if not seen[v]:
-            order.append(v)
+    def colour(j: int, coloured: int, floor: int) -> bool:
+        if j == 0:
+            return True
 
-    member_cliques: list[list[int]] = [[] for _ in range(n)]
-    for ci, c in enumerate(cliques):
-        for v in c:
-            member_cliques[v].append(ci)
+        def leaf(picked: int) -> bool:
+            classes[j] = picked
+            low = picked ^ (picked - 1) if part[j - 1] == part[j] else 0
+            return colour(j - 1, coloured | picked, low)
 
-    counts = [[0] * s for _ in cliques]
-    values = [-1] * n
+        rest = [mask & ~(coloured | floor) for mask in masks]
+        rows = mates if part[j] == 1 else selves
+        return _section_masks(rows, rest, part[j], leaf) is not None
 
-    def rec(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return all(tuple(counts[ci]) == part for ci in range(len(cliques)))
-        v = order[pos]
-        for a in range(s):
-            # Symmetry break: a colour of the same multiplicity as its
-            # predecessor may only appear after the predecessor has.
-            if a > 0 and part[a] == part[a - 1] and not (used >> (a - 1)) & 1:
-                continue
-            ok = True
-            for ci in member_cliques[v]:
-                counts[ci][a] += 1
-                if counts[ci][a] > part[a]:
-                    ok = False
-            if ok:
-                values[v] = a
-                if rec(pos + 1, used | (1 << a)):
-                    return True
-                values[v] = -1
-            for ci in member_cliques[v]:
-                counts[ci][a] -= 1
-        return False
-
-    if rec(0, 0):
-        for v in range(n):
-            if values[v] < 0:
-                values[v] = 0
-        return Colouring(tuple(values), part)
-    return None
+    if not colour(len(part) - 1, 0, 0):
+        return None
+    values = [0] * config.n
+    for j, picked in enumerate(classes):
+        for v in _bits(picked):
+            values[v] = j
+    return Colouring(tuple(values), part)
 
 
 def _counts_without(counts, rows, nbhd: int) -> tuple[int, ...]:

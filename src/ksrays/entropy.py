@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .rays import Configuration
 from .orthograph import maximal_cliques, is_saturated
-from .colouring import Colouring, find_partition_colouring
+from .colouring import Colouring, find_partition_colouring, verify_partition_colouring
 
 EQUIENTROPY_TOL = 1e-9
 CLIQUE_SUM_TOL = 1e-12
@@ -156,8 +156,6 @@ def weight_from_partition_colouring(
     total = sum(n * v for n, v in zip(part, vals))
     if total != 1:
         raise ValueError(f"clique sum is {total}, not 1")
-    from .colouring import verify_partition_colouring
-
     if not verify_partition_colouring(config, colouring):
         raise ValueError("colouring is not compatible with its partition")
     return ProbabilityWeight(

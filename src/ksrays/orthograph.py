@@ -197,39 +197,63 @@ def maximal_cliques(config: Configuration) -> list[tuple[int, ...]]:
     return [_bits(m) for m in clique_masks(config)]
 
 
-def _section_masks(rows, masks) -> int | None:
-    """Independent-transversal search over clique bitmasks.
+def _section_masks(rows, masks, quota: int = 1, leaf=None) -> int | None:
+    """Exact-hit search: a ray set meeting every mask in exactly quota
+    rays, as a bitmask, or None (TAOCP 7.2.2.1, Algorithm M).
 
-    Returns the picked ray set as a bitmask, or None if no section
-    exists.  Each node branches on the unsatisfied clique with the
-    fewest candidates, ties to the lowest index, and forbids the
-    neighbours of every pick.  A KS colouring is exactly a section of
-    all d-cliques.
+    A pick v forbids rows[v]: its neighbours for an anticlique section
+    (a KS colouring is a section of all d-cliques), its clique-mates for
+    a colour class of one ray per clique, and v itself for larger
+    quotas, whose hits are counted.  A quota-1 clique that is hit needs
+    no count, as rows[v] has forbidden its other rays.  A clique's key
+    is its free rays plus its hits: an overfull clique or a key below
+    the quota fails the node, a full clique forbids its free rays, and a
+    key equal to the quota forces the clique.  Each node branches on the
+    clique with the lowest key, ties to the lowest index, and a failed
+    candidate is forbidden to its later siblings.  ``leaf(picked)`` may
+    reject a complete set, and the search then goes on.
     """
 
-    def rec(forbidden: int, picked: int) -> int | None:
-        best_cand = 0
-        best_cnt = None
+    count = quota > 1
+    top = quota + len(rows)  # above every key
+
+    def rec(out: int, picked: int) -> int | None:
+        free_of = ~out
+        best = 0
+        best_key = top
         for mask in masks:
             if mask & picked:
-                continue  # already satisfied by an earlier pick
-            cand = mask & ~forbidden
-            cnt = cand.bit_count()
-            if cnt == 0:
-                return None
-            if best_cnt is None or cnt < best_cnt:
-                best_cand, best_cnt = cand, cnt
-                if cnt == 1:
-                    break
-        if best_cnt is None:
-            return picked
-        cand = best_cand
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            got = rec(forbidden | rows[low.bit_length() - 1], picked | low)
+                if not count:
+                    continue
+                key = (mask & picked).bit_count()
+                if key >= quota:
+                    if key > quota:
+                        return None
+                    if mask & free_of:
+                        out |= mask
+                        free_of = ~out
+                    continue
+                free = mask & free_of
+                key += free.bit_count()
+            else:
+                free = mask & free_of
+                key = free.bit_count()
+            if key <= quota:
+                if key < quota:
+                    return None
+                best = free
+                break
+            if key < best_key:
+                best, best_key = free, key
+        if not best:
+            return picked if leaf is None or leaf(picked) else None
+        while best:
+            low = best & -best
+            best ^= low
+            got = rec(out | rows[low.bit_length() - 1], picked | low)
             if got is not None:
                 return got
+            out |= low
         return None
 
     return rec(0, 0)

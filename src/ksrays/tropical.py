@@ -49,11 +49,6 @@ def admits_anticlique_section(
     return None if got is None else frozenset(_bits(got))
 
 
-def _disjoint_tuples(masks: list[int], size: int):
-    """Yield index tuples of pairwise-disjoint clique masks, lexicographic."""
-    return (tup for tup, _ in _disjoint_unions(masks, size))
-
-
 def _disjoint_unions(masks: list[int], size: int):
     """Yield (index tuple, union mask) of pairwise-disjoint clique masks."""
     m = len(masks)

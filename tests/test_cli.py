@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,7 +329,14 @@ ODD_TOKENS = ["0", "1", "-1", "1j", "1+1j", "2-j", "oops", "0.5", "0.5j",
 @st.composite
 def vector_files(draw):
     """(text, dim): a dumped restriction of M or T0 of at most 10 rays,
-    possibly with one token replaced, or a list of odd tokens."""
+    possibly with one token replaced, up to 8 distinct rays in dimension
+    1 to 4, or a list of odd tokens."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        # One vector per ray: entries in {-1, 0, 1}, first nonzero one 1.
+        rays = [v for v in product((0, 1, -1), repeat=dim) if next((x for x in v if x), 0) == 1]
+        rows = draw(st.lists(st.sampled_from(rays), min_size=1, max_size=8, unique=True))
+        return "\n".join(" ".join(str(x) for x in row) for row in rows), dim
     if draw(st.booleans()):
         config = builtin(draw(st.sampled_from(["M", "T0"])))
         keep = draw(st.lists(st.integers(0, config.n - 1), min_size=1, max_size=10,
@@ -341,17 +349,36 @@ def vector_files(draw):
     return " ".join(tokens), draw(st.sampled_from([-1, 0, 1, 2, 4, 8]))
 
 
+BAD_PARTITIONS = ["", "x", "4,4,", "4.0,4", "2,6", "0,8", "-1,9", "8", "1e1", "9" * 30]
+
+
+@st.composite
+def partition_args(draw, dim: int) -> str:
+    """A --partition value: a partition of dim, or a malformed one."""
+    if dim >= 1 and draw(st.booleans()):
+        parts, left = [], dim
+        while left:
+            parts.append(draw(st.integers(1, left)))
+            left -= parts[-1]
+        return ",".join(str(p) for p in sorted(parts, reverse=True))
+    return draw(st.sampled_from(BAD_PARTITIONS))
+
+
 class TestFuzz:
     @settings(max_examples=60, deadline=None)
-    @given(vector_files())
-    def test_exit_codes_on_vector_files(self, tmp_path_factory, case):
+    @given(vector_files(), st.data())
+    def test_exit_codes_on_vector_files(self, tmp_path_factory, case, data):
         text, dim = case
         path = tmp_path_factory.mktemp("fuzz") / "rays.txt"
         path.write_text(text)
-        for command in ("check", "signature", "reduce"):
+        partition = data.draw(partition_args(dim))
+        for command in ("check", "signature", "reduce", "tropical", "colour"):
+            argv = [command, str(path), "--dim", str(dim)]
+            if command == "colour":
+                argv.append(f"--partition={partition}")
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, str(path), "--dim", str(dim)])
+                code = main(argv)
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
 

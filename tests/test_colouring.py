@@ -108,6 +108,10 @@ class TestPartitionColouring:
     def test_verify_rejects_wrong_counts(self, m_config):
         col = Colouring((0,) * m_config.n, (6, 2))
         assert not verify_partition_colouring(m_config, col)
+        # Colour 1 written as -1 must not count as the last colour.
+        good = find_partition_colouring(m_config, (6, 2))
+        negative = Colouring(tuple(-c for c in good.values), (6, 2))
+        assert not verify_partition_colouring(m_config, negative)
 
     def test_basis_colourable_for_every_two_part_split(self):
         b = basis(8)
@@ -186,6 +190,94 @@ def clique_grown_restriction(config: Configuration, rng: random.Random, k: int):
     return config.restrict(pool[:k])
 
 
+def partitions(n: int, top: int | None = None):
+    """The partitions of n into non-increasing positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+PARTITIONS_OF_8 = [p for p in partitions(8) if len(p) >= 2]
+
+
+class TestPartitionKernel:
+    """Every partition of 8 on M, A, B and E8, and the ray-order
+    reference on small restrictions."""
+
+    @pytest.mark.parametrize("name", ["M", "B", "E8", "A"])
+    def test_builtin_verdicts(self, name):
+        config = builtin(name)
+        certified = parity_proof(config) is not None
+        assert certified == (name != "A")
+        found = set()
+        for part in PARTITIONS_OF_8:
+            col = find_partition_colouring(config, part)
+            if col is not None:
+                assert col.partition == part
+                assert verify_partition_colouring(config, col)
+                found.add(part)
+        even = {(6, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)}
+        want = {
+            "M": even,
+            "B": even,
+            # (6,2) is refuted by search, and merging colour classes
+            # would turn a (4,2,2) or (2,2,2,2) colouring into one.
+            "E8": {(4, 4)},
+            "A": set(PARTITIONS_OF_8),
+        }[name]
+        assert found == want
+
+    @pytest.mark.parametrize("name, seed", [("M", 21), ("T0", 22)])
+    def test_restrictions_match_reference_existence(self, name, seed):
+        config = builtin(name)
+        rng = random.Random(seed)
+        cases = [
+            (clique_grown_restriction(config, rng, rng.randint(8, 16)), PARTITIONS_OF_8)
+            for _ in range(8)
+        ]
+        # The reference needs seconds to minutes to refute most odd
+        # partitions of a single deletion; these four it settles at once.
+        cases += [
+            (config.delete(rng.randrange(config.n)), [(7, 1), (6, 2), (4, 4), (4, 2, 2)])
+            for _ in range(2)
+        ]
+        verdicts = set()
+        for sub, parts in cases:
+            for part in parts:
+                got = find_partition_colouring(sub, part)
+                want = reference_partition_colouring(sub, part)
+                assert (got is None) == (want is None), part
+                assert got is None or verify_partition_colouring(sub, got)
+                verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+    def test_random_graphs_match_reference(self):
+        rng = random.Random(77)
+        verdicts = {3: set(), 4: set()}
+        for _ in range(30):
+            d, n, density = rng.choice((3, 4)), rng.randint(8, 13), rng.uniform(0.2, 0.7)
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            rays = [make_ray([k + 1] + [0] * (d - 1)) for k in range(n)]
+            graph = Configuration(rays, rows)
+            for part in partitions(d):
+                if len(part) < 2:
+                    continue
+                got = find_partition_colouring(graph, part)
+                want = reference_partition_colouring(graph, part)
+                assert (got is None) == (want is None), part
+                assert got is None or verify_partition_colouring(graph, got)
+                verdicts[d].add(got is None)
+        assert verdicts == {3: {True, False}, 4: {True, False}}
+
+
 class TestParityProof:
     @pytest.mark.parametrize("name", ["M", "T0", "N", "KP36", "KP40", "E8", "B"])
     def test_certificate_is_odd_and_covers_rays_evenly(self, name):
@@ -214,9 +306,9 @@ class TestParityProof:
             if parity_proof(sub) is not None:
                 assert naive_ks_ones(sub) is None
             for part in ((7, 1), (5, 3), (5, 2, 1)):
-                assert find_partition_colouring(sub, part) == (
-                    reference_partition_colouring(sub, part)
-                )
+                got = find_partition_colouring(sub, part)
+                assert (got is None) == (reference_partition_colouring(sub, part) is None)
+                assert got is None or verify_partition_colouring(sub, got)
         assert with_cliques >= 10
 
     @pytest.mark.parametrize("name", ["M", "T0"])

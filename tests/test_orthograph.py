@@ -18,6 +18,7 @@ from ksrays.orthograph import (
     Signature,
     _bits,
     _complement_rows,
+    _section_masks,
     _size_counts,
     _trim,
     capacity,
@@ -333,3 +334,125 @@ class TestAnticliques:
             ],
         )
         assert signature(sub).anticliques == signature(flipped).cliques
+
+
+def _section_masks_reference(rows, masks) -> int | None:
+    """The section search before it took quotas: branch on the unhit
+    clique with the fewest candidates, ties to the lowest index."""
+
+    def rec(forbidden: int, picked: int) -> int | None:
+        best_cand = 0
+        best_cnt = None
+        for mask in masks:
+            if mask & picked:
+                continue
+            cand = mask & ~forbidden
+            cnt = cand.bit_count()
+            if cnt == 0:
+                return None
+            if best_cnt is None or cnt < best_cnt:
+                best_cand, best_cnt = cand, cnt
+                if cnt == 1:
+                    break
+        if best_cnt is None:
+            return picked
+        cand = best_cand
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            got = rec(forbidden | rows[low.bit_length() - 1], picked | low)
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, 0)
+
+
+def _exact_hits_brute(n: int, masks, quota: int) -> set[int]:
+    """Every ray set inside the masks' union meeting each mask in
+    exactly quota rays."""
+    union = 0
+    for m in masks:
+        union |= m
+    return {
+        s
+        for s in range(1 << n)
+        if not s & ~union and all((s & m).bit_count() == quota for m in masks)
+    }
+
+
+class TestExactHitKernel:
+    """With quota 1 the kernel returns the section search's own bitmask;
+    with any quota its leaves are exactly the brute-force solutions."""
+
+    @pytest.mark.parametrize("name", ["M", "T0", "N", "KP40", "KP36", "A", "B", "E8"])
+    def test_all_cliques_match_reference(self, name):
+        config = builtin(name)
+        masks = clique_masks(config)
+        assert _section_masks(config.adj, masks) == _section_masks_reference(
+            config.adj, masks
+        )
+
+    @pytest.mark.parametrize("name", ["T0", "KP40", "N"])
+    def test_single_deletions_match_reference(self, name):
+        config = builtin(name)
+        masks = clique_masks(config)
+        for v in range(config.n):
+            kept = [m for m in masks if not m >> v & 1]
+            assert _section_masks(config.adj, kept) == _section_masks_reference(
+                config.adj, kept
+            )
+
+    def test_five_clique_subsets_of_m_match_reference(self, m_config):
+        import random
+
+        rng = random.Random(41)
+        masks = clique_masks(m_config)
+        for _ in range(300):
+            chosen = [masks[i] for i in rng.sample(range(len(masks)), 5)]
+            got = _section_masks(m_config.adj, chosen)
+            assert got == _section_masks_reference(m_config.adj, chosen)
+
+    @pytest.mark.parametrize("quota", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_leaves_are_every_exact_hit_set_once(self, quota, seed):
+        import random
+
+        rng = random.Random(10 * quota + seed)
+        n = rng.randint(6, 12)
+        masks = [
+            sum(1 << v for v in rng.sample(range(n), rng.randint(quota, min(n, quota + 3))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        rows = [1 << v for v in range(n)]
+        if quota == 1:  # a pick forbids its mask-mates
+            for m in masks:
+                for v in _bits(m):
+                    rows[v] |= m
+        leaves: list[int] = []
+        assert _section_masks(rows, masks, quota, lambda s: leaves.append(s)) is None
+        want = _exact_hits_brute(n, masks, quota)
+        assert sorted(leaves) == sorted(want)
+        got = _section_masks(rows, masks, quota)
+        assert (got is None) == (not want)
+        assert got is None or got in want
+
+    def test_leaf_picks_a_later_solution(self):
+        # Two disjoint pairs, one ray of each: the leaf refuses the first
+        # three sets, and the search goes on to the fourth.
+        masks = [0b0011, 0b1100]
+        rows = [0b0011, 0b0011, 0b1100, 0b1100]
+        seen: list[int] = []
+
+        def leaf(s: int) -> bool:
+            seen.append(s)
+            return len(seen) == 4
+
+        assert _section_masks(rows, masks, 1, leaf) == seen[-1]
+        assert sorted(seen) == [0b0101, 0b0110, 0b1001, 0b1010]
+
+    def test_short_or_empty_mask_fails(self):
+        rows = [1 << v for v in range(4)]
+        assert _section_masks(rows, [0b0111, 0b0001], 2) is None
+        assert _section_masks(rows, [0b0111, 0], 1) is None
+        assert _section_masks(rows, [], 2) == 0

@@ -17,7 +17,7 @@ from ksrays.datasets import T0_INDICES, TROPICAL_INDEX_SETS
 from ksrays.orthograph import _bits, _section_masks, clique_masks, maximal_cliques
 from ksrays.rays import Configuration, make_ray
 from ksrays.tropical import (
-    _disjoint_tuples,
+    _disjoint_unions,
     admits_anticlique_section,
     iter_witnesses,
     tropical_dimension,
@@ -109,10 +109,7 @@ class TestSections:
         masks = [sum(1 << v for v in c) for c in inside]
         target = sum(1 << v for v in T0_INDICES)
         found = None
-        for tup in _disjoint_tuples(masks, 6):
-            union = 0
-            for i in tup:
-                union |= masks[i]
+        for tup, union in _disjoint_unions(masks, 6):
             if union == target:
                 found = [inside[i] for i in tup]
                 break
@@ -123,14 +120,14 @@ class TestSections:
 class TestDisjointTuples:
     def test_enumerates_all_disjoint_pairs(self):
         masks = [0b0011, 0b0110, 0b1100, 0b1000]
-        got = list(_disjoint_tuples(masks, 2))
+        got = [tup for tup, _ in _disjoint_unions(masks, 2)]
         assert got == [(0, 2), (0, 3), (1, 3)]
 
     def test_tuples_are_lexicographic_and_disjoint(self, m_config):
         masks = [
             sum(1 << v for v in c) for c in maximal_cliques(m_config)[:40]
         ]
-        tuples = list(_disjoint_tuples(masks, 3))
+        tuples = [tup for tup, _ in _disjoint_unions(masks, 3)]
         assert tuples == sorted(tuples)
         for tup in tuples:
             for a, b in combinations(tup, 2):
@@ -250,7 +247,7 @@ class TestUnionVerdict:
         head = [w for w in got[1] if w.clique_indices[0] == 0]
         direct = [
             tup
-            for tup in takewhile(lambda t: t[0] == 0, _disjoint_tuples(masks, 6))
+            for tup, _ in takewhile(lambda pair: pair[0][0] == 0, _disjoint_unions(masks, 6))
             if _section_masks(sub.adj, [masks[i] for i in tup]) is None
         ]
         assert len(direct) == 2568
