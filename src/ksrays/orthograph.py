@@ -214,10 +214,11 @@ def _section_masks(rows, masks, quota: int = 1, leaf=None) -> int | None:
     reject a complete set, and the search then goes on.
     """
 
-    count = quota > 1
-    top = quota + len(rows)  # above every key
-
-    def rec(out: int, picked: int) -> int | None:
+    # The constants ride as defaults (top lies above every key): the loop
+    # reads them as fast locals, which matters for the many calls on a
+    # handful of cliques.
+    def rec(out: int, picked: int, masks=masks, rows=rows, quota=quota,
+            count=quota > 1, top=quota + len(rows), leaf=leaf) -> int | None:
         free_of = ~out
         best = 0
         best_key = top
