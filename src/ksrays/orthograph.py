@@ -4,8 +4,9 @@ The enumeration kernel is an ordered backtracking over index-increasing
 extensions with bitset candidate intersection; anticlique counting reuses
 the same kernel on the complement graph.  The d-cliques are cached on
 each configuration as bitmasks and inherited by its restrictions, which
-find them through the per-ray clique-incidence bitsets; the
-anticlique-section search over them also decides KS colourability.
+find them through the per-ray clique-incidence bitsets; the exact-hit
+search over them finds anticlique sections, KS colourings and the colour
+classes of partition colourings.
 """
 
 from __future__ import annotations

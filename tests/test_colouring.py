@@ -23,6 +23,7 @@ from ksrays.orthograph import clique_masks, maximal_cliques, signature
 from ksrays.rays import Configuration, make_ray
 
 from conftest import naive_ks_ones
+from test_orthograph import _graph, _random_rows
 
 
 def basis(dim: int) -> Configuration:
@@ -259,14 +260,7 @@ class TestPartitionKernel:
         verdicts = {3: set(), 4: set()}
         for _ in range(30):
             d, n, density = rng.choice((3, 4)), rng.randint(8, 13), rng.uniform(0.2, 0.7)
-            rows = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < density:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            rays = [make_ray([k + 1] + [0] * (d - 1)) for k in range(n)]
-            graph = Configuration(rays, rows)
+            graph = _graph(_random_rows(rng, n, density), d)
             for part in partitions(d):
                 if len(part) < 2:
                     continue
