@@ -353,15 +353,13 @@ BAD_PARTITIONS = ["", "x", "4,4,", "4.0,4", "2,6", "0,8", "-1,9", "8", "1e1", "9
 
 
 @st.composite
-def partition_args(draw, dim: int) -> str:
-    """A --partition value: a partition of dim, or a malformed one."""
-    if dim >= 1 and draw(st.booleans()):
-        parts, left = [], dim
-        while left:
-            parts.append(draw(st.integers(1, left)))
-            left -= parts[-1]
-        return ",".join(str(p) for p in sorted(parts, reverse=True))
-    return draw(st.sampled_from(BAD_PARTITIONS))
+def partitions_of(draw, dim: int) -> str:
+    """A --partition value whose parts sum to dim (one part if dim < 2)."""
+    parts, left = [], max(dim, 1)
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return ",".join(str(p) for p in sorted(parts, reverse=True))
 
 
 class TestFuzz:
@@ -371,11 +369,11 @@ class TestFuzz:
         text, dim = case
         path = tmp_path_factory.mktemp("fuzz") / "rays.txt"
         path.write_text(text)
-        partition = data.draw(partition_args(dim))
-        for command in ("check", "signature", "reduce", "tropical", "colour"):
-            argv = [command, str(path), "--dim", str(dim)]
-            if command == "colour":
-                argv.append(f"--partition={partition}")
+        args = [str(path), "--dim", str(dim)]
+        runs = [[command, *args] for command in ("check", "signature", "reduce", "tropical")]
+        for partition in (data.draw(partitions_of(dim)), data.draw(st.sampled_from(BAD_PARTITIONS))):
+            runs.append(["colour", *args, f"--partition={partition}"])
+        for argv in runs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
