@@ -29,7 +29,7 @@ from .colouring import (
     is_ks_configuration,
     parity_proof,
 )
-from .tropical import iter_witnesses, tropical_dimension
+from .tropical import _require_covered, iter_witnesses, tropical_dimension
 from .entropy import (
     InvalidWeightError,
     ProbabilityWeight,
@@ -165,6 +165,7 @@ def _cmd_tropical(args) -> int:
 
 
 def _tropical_exhaustive(config, max_n: int, state_path: str | None, t0) -> int:
+    _require_covered(config)
     state = {"n": 1, "pos": 0, "witnesses": []}
     if state_path and os.path.exists(state_path):
         with open(state_path) as fh:
@@ -244,7 +245,7 @@ def _parse_weight(path: str, n: int) -> ProbabilityWeight:
                 idx_s, val_s = line.split()
                 idx = int(idx_s)
                 val = Fraction(val_s)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(
                     f"{path}: bad weight entry at line {lineno}"
                 ) from exc
@@ -260,6 +261,8 @@ def _parse_weight(path: str, n: int) -> ProbabilityWeight:
 
 def _cmd_entropy(args) -> int:
     config = _load_input(args.input, args.dim, args.count)
+    if not config.n:
+        raise InputError(f"{args.input}: no rays, so no clique entropy")
     if args.witness:
         weight = _parse_weight(args.witness, config.n)
         try:

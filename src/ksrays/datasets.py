@@ -318,8 +318,6 @@ def builtin(name: str):
     if key == "T0":
         return builtin("M").restrict(T0_INDICES)
     if key == "TROPICALS":
-        if TROPICAL_INDEX_SETS is None:
-            raise RuntimeError("tropical index table missing")
         m = builtin("M")
         return tuple(m.restrict(idx) for idx in TROPICAL_INDEX_SETS)
     if key == "KP40":

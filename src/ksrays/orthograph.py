@@ -2,11 +2,13 @@
 
 The enumeration kernel is an ordered backtracking over index-increasing
 extensions with bitset candidate intersection; anticlique counting reuses
-the same kernel on the complement graph.  The d-cliques are cached on
-each configuration as bitmasks and inherited by its restrictions, which
-find them through the per-ray clique-incidence bitsets; the exact-hit
-search over them finds anticlique sections, KS colourings and the colour
-classes of partition colourings.
+the same kernel on the complement graph.  One k-clique walker lists the
+d-cliques, the disjoint clique tuples of the tropical top level and the
+Pauli parity tuples.  The d-cliques are cached on each configuration as
+bitmasks and inherited by its restrictions, which find them through the
+per-ray clique-incidence bitsets; the exact-hit search over them finds
+anticlique sections, KS colourings and the colour classes of partition
+colourings.
 """
 
 from __future__ import annotations
@@ -100,48 +102,61 @@ def count_anticliques(config: Configuration, k: int) -> int:
     return ac[k - 1] if k <= len(ac) else 0
 
 
-def clique_masks(config: Configuration) -> tuple[int, ...]:
-    """All cliques of size d as bitmasks, lexicographic (cached per instance).
+def _walk_cliques(rows, k: int, weights, emit) -> None:
+    """Call emit once per k-clique of the bitset graph rows, in
+    lexicographic order of index tuples, with the OR of weights over it.
 
-    Every configuration in scope has clique number d; use
-    :func:`is_saturated` to detect smaller dead-end cliques.  Each level
-    stops once fewer candidates remain than picks still needed, and the
-    last two picks are the edges inside the candidate set.
+    Each level stops once fewer candidates remain than picks still
+    needed, and the last two picks are the edges inside the candidate
+    set.  The empty clique (k = 0) is emitted as 0.
     """
-    cached = config._cliques
-    if cached is not None:
-        return cached
-    d = config.dim
-    rows = config.adj
-    out: list[int] = []
-    append = out.append
 
-    def rec(cand: int, need: int, clique: int) -> None:
+    def rec(cand: int, need: int, acc: int) -> None:
         left = cand.bit_count()
         if need == 2:
             while left > 1:
                 low = cand & -cand
                 cand ^= low
                 left -= 1
-                base = clique | low
-                nxt = cand & rows[low.bit_length() - 1]
+                v = low.bit_length() - 1
+                base = acc | weights[v]
+                nxt = cand & rows[v]
                 while nxt:
                     pick = nxt & -nxt
                     nxt ^= pick
-                    append(base | pick)
+                    emit(base | weights[pick.bit_length() - 1])
             return
         while left >= need:
             low = cand & -cand
             cand ^= low
             left -= 1
-            nxt = cand & rows[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            nxt = cand & rows[v]
             if nxt.bit_count() >= need - 1:
-                rec(nxt, need - 1, clique | low)
+                rec(nxt, need - 1, acc | weights[v])
 
-    if d == 1:
-        out = [1 << i for i in range(config.n)]
-    elif d:
-        rec((1 << config.n) - 1, d, 0)
+    if k == 0:
+        emit(0)
+    elif k == 1:
+        for w in weights:
+            emit(w)
+    else:
+        rec((1 << len(rows)) - 1, k, 0)
+
+
+def clique_masks(config: Configuration) -> tuple[int, ...]:
+    """All cliques of size d as bitmasks, lexicographic (cached per instance).
+
+    Every configuration in scope has clique number d; use
+    :func:`is_saturated` to detect smaller dead-end cliques.
+    """
+    cached = config._cliques
+    if cached is not None:
+        return cached
+    out: list[int] = []
+    if config.dim:
+        weights = [1 << v for v in range(config.n)]
+        _walk_cliques(config.adj, config.dim, weights, out.append)
     masks = tuple(out)
     object.__setattr__(config, "_cliques", masks)
     return masks

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .orthograph import _bits, _gf2_eliminate, _gf2_reduce
+from .orthograph import _bits, _gf2_eliminate, _gf2_reduce, _walk_cliques
 from .rays import Ray, make_ray
 from math import gcd
 
@@ -119,34 +119,22 @@ def product_sign(words) -> int | None:
 def _parity_tuples(pairs, s: int) -> list[tuple[tuple[int, ...], int]]:
     """(indices, sign) of every index-increasing s-tuple of mutually
     commuting pairs whose product is +-identity, in lexicographic order:
-    a depth-first walk over the commuting-partner bitsets."""
+    the s-cliques of the commutation graph."""
     m = len(pairs)
     compat = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
             if _commute(pairs[i], pairs[j]):
                 compat[i] |= 1 << j
-
     out = []
-    stack: list[int] = []
 
-    def rec(cand: int, depth: int):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            stack.append(i)
-            if depth + 1 == s:
-                sign = _product_sign([pairs[k] for k in stack])
-                if sign is not None:
-                    out.append((tuple(stack), sign))
-            else:
-                nxt = cand & compat[i]
-                if nxt.bit_count() >= s - depth - 1:
-                    rec(nxt, depth + 1)
-            stack.pop()
+    def leaf(clique: int) -> None:
+        tup = _bits(clique)
+        sign = _product_sign([pairs[k] for k in tup])
+        if sign is not None:
+            out.append((tup, sign))
 
-    rec((1 << m) - 1, 0)
+    _walk_cliques(compat, s, [1 << i for i in range(m)], leaf)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .rays import Configuration
-from .orthograph import _bits, _section_masks, clique_masks
+from .orthograph import _bits, _section_masks, _walk_cliques, clique_incidence, clique_masks
 
 
 @dataclass(frozen=True)
@@ -49,113 +49,94 @@ def admits_anticlique_section(
     return None if got is None else frozenset(_bits(got))
 
 
-def _disjoint_unions(masks: list[int], size: int):
-    """Yield (index tuple, union mask) of pairwise-disjoint clique masks."""
-    m = len(masks)
-    # Precompute compatibility bitsets over clique indices.
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if masks[i] & masks[j] == 0:
-                compat[i] |= 1 << j
-
-    out: list[int] = []
-
-    def rec(cand: int, depth: int, union: int):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            out.append(i)
-            if depth + 1 == size:
-                yield tuple(out), union | masks[i]
-            else:
-                nxt = cand & compat[i]
-                if nxt.bit_count() >= size - depth - 1:
-                    yield from rec(nxt, depth + 1, union | masks[i])
-            out.pop()
-
-    yield from rec((1 << m) - 1, 0, 0)
+def _require_covered(config: Configuration) -> None:
+    """Raise ValueError unless every orthogonal pair lies in some d-clique,
+    the precondition of every tropical-dimension search."""
+    covered = [0] * config.n
+    for mask in clique_masks(config):
+        for v in _bits(mask):
+            covered[v] |= mask
+    for i, row in enumerate(config.adj):
+        extra = row & ~covered[i]
+        if extra:
+            j = (extra & -extra).bit_length() - 1
+            raise ValueError(f"orthogonal pair ({i}, {j}) lies in no maximal clique")
 
 
 def tropical_dimension(
     config: Configuration,
     max_n: int,
-    exhaustive: bool = False,
     sample_per_n: int = 2000,
     rng: random.Random | None = None,
 ):
     """Smallest n <= max_n with a section-free clique collection.
 
     Returns (n, witnesses) or None if every examined collection up to
-    max_n admits a section.  In the default (non-exhaustive) mode,
-    levels below the first failing one are sampled rather than fully
-    enumerated, and the failing level is searched over pairwise-disjoint
-    tuples plus a random sample of overlapping ones; a section-free
-    overlapping tuple raises AssertionError.  With ``exhaustive=True``,
-    every level is a full enumeration (long run).
+    max_n admits a section.  Levels below max_n are sampled rather than
+    fully enumerated.  Level max_n is searched over every
+    pairwise-disjoint tuple plus a random sample of overlapping ones; a
+    section-free overlapping tuple raises AssertionError, as only the
+    full scan ``iter_witnesses`` (``ksrays tropical --exhaustive``)
+    finds such witnesses.
 
-    The sections of n pairwise-disjoint cliques with union U are exactly
-    the independent n-sets of the graph on U: a clique holds at most one
-    pick, so n picks meet each of the n cliques once.  The verdict thus
-    depends on U alone, and the disjoint scan decides each distinct
-    union once; its witnesses share one ray set per union.  Raises
-    ValueError if max_n < 1.
+    The disjoint tuples are the max_n-cliques of the disjointness graph
+    on the cliques.  Their sections are exactly the independent
+    max_n-sets of the graph on their union U: a clique holds at most one
+    pick, so max_n picks meet each of the cliques once.  The verdict
+    thus depends on U alone, and each distinct union is decided once;
+    its witnesses share one ray set.  Raises ValueError if max_n < 1 or
+    an orthogonal pair lies in no d-clique.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    _require_covered(config)
     rng = rng or random.Random(20240901)
     masks = clique_masks(config)
     m = len(masks)
     rows = config.adj
-
-    # Precondition: every orthogonal pair lies in some d-clique.
-    covered = [0] * config.n
-    for mask in masks:
-        for v in _bits(mask):
-            covered[v] |= mask & ~(1 << v)
-    for i in range(config.n):
-        extra = config.adj[i] & ~covered[i]
-        if extra:
-            j = (extra & -extra).bit_length() - 1
-            raise ValueError(
-                f"orthogonal pair ({i}, {j}) lies in no maximal clique"
-            )
-
-    for n in range(1, max_n + 1):
-        witnesses: list[TropicalWitness] = []
-        if exhaustive:
-            pool = combinations(range(m), n)
-        elif n < max_n:
-            pool = _sampled_tuples(m, n, sample_per_n, rng)
-        else:
-            pool = None  # handled below
-        if pool is not None:
-            for tup in pool:
-                if _section_masks(rows, [masks[i] for i in tup]) is None:
-                    witnesses.append(_witness(masks, tup))
-            if witnesses:
-                return n, witnesses
-            continue
-        # Restricted top level: disjoint tuples, decided once per union,
-        # plus an overlap sample.
-        free: dict[int, frozenset[int] | None] = {}
-        for tup, union in _disjoint_unions(masks, n):
-            if union not in free:
-                no_section = _section_masks(rows, [masks[i] for i in tup]) is None
-                free[union] = frozenset(_bits(union)) if no_section else None
-            if free[union] is not None:
-                witnesses.append(TropicalWitness(tup, free[union]))
-        for tup in _sampled_tuples(m, n, sample_per_n, rng):
-            if any(
-                masks[a] & masks[b] for a, b in combinations(tup, 2)
-            ) and _section_masks(rows, [masks[i] for i in tup]) is None:
-                raise AssertionError(
-                    "witness with overlapping cliques found; rerun exhaustively"
-                )
+    for n in range(1, max_n):
+        witnesses = [
+            _witness(masks, tup)
+            for tup in _sampled_tuples(m, n, sample_per_n, rng)
+            if _section_masks(rows, [masks[i] for i in tup]) is None
+        ]
         if witnesses:
             return n, witnesses
-    return None
+
+    # Clique i weighs its rays plus bit shift + i: a disjoint tuple's OR
+    # is its union below bit shift and its clique indices above.
+    shift = config.n
+    rays = (1 << shift) - 1
+    incidence = clique_incidence(config)
+    disjoint = []
+    for mask in masks:
+        meets = 0
+        for v in _bits(mask):
+            meets |= incidence[v]
+        disjoint.append(~meets & ((1 << m) - 1))
+    verdicts: dict[int, frozenset[int] | None] = {}
+    witnesses = []
+
+    def decide(tagged: int) -> None:
+        union = tagged & rays
+        if union not in verdicts:
+            tup = _bits(tagged >> shift)
+            free = _section_masks(rows, [masks[i] for i in tup]) is None
+            verdicts[union] = frozenset(_bits(union)) if free else None
+        if verdicts[union] is not None:
+            witnesses.append(TropicalWitness(_bits(tagged >> shift), verdicts[union]))
+
+    weights = [c | 1 << (shift + i) for i, c in enumerate(masks)]
+    _walk_cliques(disjoint, max_n, weights, decide)
+    for tup in _sampled_tuples(m, max_n, sample_per_n, rng):
+        if any(
+            masks[a] & masks[b] for a, b in combinations(tup, 2)
+        ) and _section_masks(rows, [masks[i] for i in tup]) is None:
+            raise AssertionError(
+                "witness with overlapping cliques found; rerun with "
+                "`ksrays tropical --exhaustive` (iter_witnesses)"
+            )
+    return (max_n, witnesses) if witnesses else None
 
 
 def _witness(masks, tup) -> TropicalWitness:

@@ -190,6 +190,24 @@ class TestEntropy:
         assert out == ""
         assert err == f"error: {path}: ray index 0 given twice, again at line 65\n"
 
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_empty_input_is_an_error(self, capsys, tmp_path, witness):
+        path = tmp_path / "rays.txt"
+        path.write_text("")
+        extra = ["--witness", str(path)] if witness else []
+        code, out, err = run(capsys, "entropy", str(path), "--dim", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no rays, so no clique entropy\n"
+
+    def test_zero_denominator_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "weight.txt"
+        path.write_text("0 1/0\n")
+        code, out, err = run(capsys, "entropy", "M", "--witness", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: bad weight entry at line 1\n"
+
     def test_missing_witness_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "absent.txt"
         code, _, err = run(capsys, "entropy", "M", "--witness", str(path))
@@ -213,10 +231,11 @@ class TestEntropy:
 
 
 class TestTropical:
-    def test_uncovered_orthogonal_pair_is_an_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+    def test_uncovered_orthogonal_pair_is_an_error(self, capsys, tmp_path, extra):
         path = tmp_path / "pair.txt"
         path.write_text("1 0 0\n0 1 0\n")
-        code, out, err = run(capsys, "tropical", str(path), "--dim", "3")
+        code, out, err = run(capsys, "tropical", str(path), "--dim", "3", *extra)
         assert code == 2
         assert out == ""
         assert err.startswith("error: orthogonal pair (0, 1)")
@@ -362,15 +381,41 @@ def partitions_of(draw, dim: int) -> str:
     return ",".join(str(p) for p in sorted(parts, reverse=True))
 
 
+# Weight-file rows the parser must read or reject with exit 2.
+BAD_WEIGHT_ROWS = ["0 1/0", "0 nan", "0 oops", "0 inf", "0", "0 1 2", "x 1/2", "-1 1/2"]
+
+
+@st.composite
+def weight_files(draw) -> str:
+    """'index value' rows for rays 0..k-1 with one common value, possibly
+    with a repeated index or one row replaced by a malformed one."""
+    k = draw(st.integers(0, 10))
+    value = draw(st.sampled_from(["1", "1/2", "1/4", "1/8", "0", "-1/3"]))
+    rows = [f"{i} {value}" for i in range(k)]
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BAD_WEIGHT_ROWS)))
+    return "\n".join(rows)
+
+
+DATASET_TOKENS = ["M", "TROPICALS", "KP36", "m", "", "XYZ", "TROPICAL", "M ", "../M"]
+
+
 class TestFuzz:
     @settings(max_examples=60, deadline=None)
-    @given(vector_files(), st.data())
-    def test_exit_codes_on_vector_files(self, tmp_path_factory, case, data):
+    @given(vector_files(), weight_files(), st.data())
+    def test_exit_codes_on_vector_files(self, tmp_path_factory, case, weights, data):
         text, dim = case
-        path = tmp_path_factory.mktemp("fuzz") / "rays.txt"
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = folder / "rays.txt"
         path.write_text(text)
+        weight_path = folder / "weight.txt"
+        weight_path.write_text(weights)
         args = [str(path), "--dim", str(dim)]
-        runs = [[command, *args] for command in ("check", "signature", "reduce", "tropical")]
+        runs = [[command, *args] for command in ("check", "signature", "reduce", "tropical", "entropy")]
+        runs.append(["entropy", *args, "--witness", str(weight_path)])
+        runs.append(["dataset", "export", data.draw(st.sampled_from(DATASET_TOKENS))])
         for partition in (data.draw(partitions_of(dim)), data.draw(st.sampled_from(BAD_PARTITIONS))):
             runs.append(["colour", *args, f"--partition={partition}"])
         for argv in runs:

@@ -21,6 +21,7 @@ from ksrays.orthograph import (
     _section_masks,
     _size_counts,
     _trim,
+    _walk_cliques,
     capacity,
     clique_incidence,
     clique_masks,
@@ -207,6 +208,28 @@ class TestCliqueKernel:
 
     def test_empty_configuration(self):
         assert clique_masks(Configuration([])) == ()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walker_emits_weighted_cliques_in_order(self, seed):
+        # Every k-subset in lexicographic order, kept when pairwise
+        # adjacent, and OR-ed over random weights.
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(0, 14)
+        rows = _random_rows(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        weights = [rng.getrandbits(24) for _ in range(n)]
+        for k in range(6):
+            want = []
+            for combo in combinations(range(n), k):
+                if all(rows[a] >> b & 1 for a, b in combinations(combo, 2)):
+                    acc = 0
+                    for v in combo:
+                        acc |= weights[v]
+                    want.append(acc)
+            got = []
+            _walk_cliques(rows, k, weights, got.append)
+            assert got == want, (seed, k)
 
 
 def _incidence_per_bit(masks, n: int) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 """Anticlique sections and the tropical dimension machinery.
 
 The full restricted enumeration over the 64-ray configuration runs in
-the acceptance suite; tests here exercise the section search and the
-disjoint-tuple generator on small instances.
+the acceptance suite; tests here exercise the section search, the
+clique walker on disjointness rows, and the top level's per-union
+verdicts against a per-tuple scan over a direct disjoint-tuple
+generator, on small instances and slices of M.
 """
 
 from __future__ import annotations
@@ -14,14 +16,62 @@ import pytest
 
 from ksrays import builtin
 from ksrays.datasets import T0_INDICES, TROPICAL_INDEX_SETS
-from ksrays.orthograph import _bits, _section_masks, clique_masks, maximal_cliques
+from ksrays.orthograph import (
+    _bits,
+    _section_masks,
+    _walk_cliques,
+    clique_masks,
+    maximal_cliques,
+)
 from ksrays.rays import Configuration, make_ray
 from ksrays.tropical import (
-    _disjoint_unions,
     admits_anticlique_section,
     iter_witnesses,
     tropical_dimension,
 )
+
+
+def _disjoint_unions(masks: list[int], size: int):
+    """Yield (index tuple, union mask) of pairwise-disjoint clique masks,
+    in lexicographic order, by a direct recursion: the oracle for the
+    clique walker on disjointness rows."""
+    m = len(masks)
+    compat = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if masks[i] & masks[j] == 0:
+                compat[i] |= 1 << j
+
+    out: list[int] = []
+
+    def rec(cand: int, depth: int, union: int):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            out.append(i)
+            if depth + 1 == size:
+                yield tuple(out), union | masks[i]
+            else:
+                nxt = cand & compat[i]
+                if nxt.bit_count() >= size - depth - 1:
+                    yield from rec(nxt, depth + 1, union | masks[i])
+            out.pop()
+
+    yield from rec((1 << m) - 1, 0, 0)
+
+
+def walk_disjoint(masks: list[int], size: int, n: int):
+    """(index tuple, union mask) of the size-cliques of the disjointness
+    graph, from the clique walker with the tropical top level's weights:
+    the rays of clique i below bit n, and bit n + i."""
+    rows = [
+        sum(1 << j for j, b in enumerate(masks) if j != i and not a & b)
+        for i, a in enumerate(masks)
+    ]
+    tagged = []
+    _walk_cliques(rows, size, [c | 1 << (n + i) for i, c in enumerate(masks)], tagged.append)
+    return [(_bits(t >> n), t & ((1 << n) - 1)) for t in tagged]
 
 
 def eighteen_ray_config():
@@ -120,14 +170,16 @@ class TestSections:
 class TestDisjointTuples:
     def test_enumerates_all_disjoint_pairs(self):
         masks = [0b0011, 0b0110, 0b1100, 0b1000]
-        got = [tup for tup, _ in _disjoint_unions(masks, 2)]
-        assert got == [(0, 2), (0, 3), (1, 3)]
-
-    def test_tuples_are_lexicographic_and_disjoint(self, m_config):
-        masks = [
-            sum(1 << v for v in c) for c in maximal_cliques(m_config)[:40]
+        assert walk_disjoint(masks, 2, 4) == [
+            ((0, 2), 0b1111), ((0, 3), 0b1011), ((1, 3), 0b1110)
         ]
-        tuples = [tup for tup, _ in _disjoint_unions(masks, 3)]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_walker_matches_direct_generator(self, m_config, size):
+        masks = list(clique_masks(m_config)[:40])
+        got = walk_disjoint(masks, size, m_config.n)
+        assert got == list(_disjoint_unions(masks, size))
+        tuples = [tup for tup, _ in got]
         assert tuples == sorted(tuples)
         for tup in tuples:
             for a, b in combinations(tup, 2):
