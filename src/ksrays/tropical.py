@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .rays import Configuration
-from .orthograph import _bits, _section_masks, _walk_cliques, clique_incidence, clique_masks
+from .orthograph import (
+    _bits,
+    _section_masks,
+    _walk_cliques,
+    clique_incidence,
+    clique_masks,
+)
 
 
 @dataclass(frozen=True)
