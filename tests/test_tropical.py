@@ -174,16 +174,16 @@ class TestDisjointTuples:
             ((0, 2), 0b1111), ((0, 3), 0b1011), ((1, 3), 0b1110)
         ]
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_walker_matches_direct_generator(self, m_config, size):
+    def test_tuples_are_lexicographic_and_disjoint(self, m_config):
         masks = list(clique_masks(m_config)[:40])
-        got = walk_disjoint(masks, size, m_config.n)
-        assert got == list(_disjoint_unions(masks, size))
-        tuples = [tup for tup, _ in got]
-        assert tuples == sorted(tuples)
-        for tup in tuples:
-            for a, b in combinations(tup, 2):
-                assert masks[a] & masks[b] == 0
+        for size in range(1, 5):
+            got = walk_disjoint(masks, size, m_config.n)
+            assert got == list(_disjoint_unions(masks, size))
+            tuples = [tup for tup, _ in got]
+            assert tuples == sorted(tuples)
+            for tup in tuples:
+                for a, b in combinations(tup, 2):
+                    assert masks[a] & masks[b] == 0
 
 
 class TestTropicalDimension:
