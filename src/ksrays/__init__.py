@@ -6,7 +6,6 @@ from .rays import (
     Configuration,
     make_ray,
     inner_product,
-    build_configuration,
     load_vectors,
     dump_vectors,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Configuration",
     "make_ray",
     "inner_product",
-    "build_configuration",
     "load_vectors",
     "dump_vectors",
     "Signature",

@@ -15,12 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .rays import (
-    Ray,
-    build_configuration,
-    make_ray,
-    scaled_ray,
-)
+from .rays import Configuration, Ray, make_ray
 from .orthograph import _bits, capacity, clique_masks
 
 
@@ -240,7 +235,7 @@ class LinearMap:
     def apply_ray(self, ray: Ray) -> Ray:
         if any(c.im != 0 for c in ray.coords):
             raise ValueError("transform is defined on real vectors only")
-        return scaled_ray(self.apply([Fraction(c.re) for c in ray.coords]))
+        return make_ray(self.apply([c.re for c in ray.coords]))
 
     def gram_scalar(self) -> Fraction:
         """The c with matrix^T matrix = c * identity; raises otherwise."""
@@ -312,7 +307,7 @@ def builtin(name: str):
     """
     key = name.upper()
     if key == "M":
-        return build_configuration([make_ray(v) for v in M_VECTORS])
+        return Configuration([make_ray(v) for v in M_VECTORS])
     if key == "N":
         return builtin("M").restrict(N_INDICES)
     if key == "T0":
@@ -321,9 +316,9 @@ def builtin(name: str):
         m = builtin("M")
         return tuple(m.restrict(idx) for idx in TROPICAL_INDEX_SETS)
     if key == "KP40":
-        return build_configuration([make_ray(v) for v in KP_VECTORS])
+        return Configuration([make_ray(v) for v in KP_VECTORS])
     if key == "KP36":
-        return build_configuration(
+        return Configuration(
             [
                 make_ray(v)
                 for i, v in enumerate(KP_VECTORS)
@@ -331,20 +326,13 @@ def builtin(name: str):
             ]
         )
     if key == "E8":
-        return build_configuration(_e8_full_support() + _e8_two_support())
+        return Configuration(_e8_full_support() + _e8_two_support())
     if key == "A":
-        return build_configuration(_e8_full_support())
+        return Configuration(_e8_full_support())
     if key == "B":
         t = build_transform_T()
         rays = _e8_full_support()
-        images = [t.apply_ray(r) for r in rays]
-        seen = set(rays)
-        merged = list(rays)
-        for r in images:
-            if r not in seen:
-                seen.add(r)
-                merged.append(r)
-        return build_configuration(merged)
+        return Configuration(dict.fromkeys(rays + [t.apply_ray(r) for r in rays]))
     raise ValueError(f"unknown dataset {name!r}")
 
 

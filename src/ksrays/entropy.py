@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .rays import Configuration
 from .orthograph import maximal_cliques, is_saturated
@@ -64,6 +65,8 @@ def _xlogx(p: float) -> float:
 
 
 def _require_saturated(config: Configuration) -> None:
+    if not config.n:
+        raise ValueError("configuration has no rays, so no clique entropy")
     ok, witness = is_saturated(config)
     if not ok:
         raise ValueError(
@@ -100,9 +103,8 @@ def entropy_report(
 ) -> EntropyReport:
     """Per-clique entropies and the equientropic verdict.
 
-    In rational mode cliques are equientropic iff their value multisets
-    agree, which is exact; in floating mode entropies are compared
-    within tol.
+    In rational mode the verdict is exact (see :func:`_equal_entropies`);
+    in floating mode entropies are compared within tol.
     """
     _require_saturated(config)
     return _report(config, f, tol)
@@ -113,21 +115,13 @@ def _report(config: Configuration, f: ProbabilityWeight, tol: float) -> EntropyR
     cliques = maximal_cliques(config)
     if not _sums_to_one(config, f, cliques, CLIQUE_SUM_TOL):
         raise InvalidWeightError("not a valid probability weight")
-    exact = f.exact
-    per: dict[tuple[int, ...], float] = {}
-    multisets = set()
-    for clique in cliques:
-        vals = [f.values[v] for v in clique]
-        # Summing negated terms keeps a zero entropy at +0.0.
-        per[clique] = sum(-_xlogx(float(v)) for v in vals)
-        if exact:
-            multisets.add(tuple(sorted(vals)))
-    if exact:
-        equi = len(multisets) <= 1
+    # Summing negated terms keeps a zero entropy at +0.0.
+    per = {c: sum(-_xlogx(float(f.values[v])) for v in c) for c in cliques}
+    if f.exact:
+        equi = _equal_entropies(f.values, cliques)
     else:
-        ents = list(per.values())
-        equi = max(ents) - min(ents) <= tol if ents else True
-    common = next(iter(per.values())) if (equi and per) else None
+        equi = max(per.values()) - min(per.values()) <= tol
+    common = next(iter(per.values())) if equi else None
     return EntropyReport(
         per_clique=per,
         equientropic=equi,
@@ -136,6 +130,47 @@ def _report(config: Configuration, f: ProbabilityWeight, tol: float) -> EntropyR
         statistical_weight=math.exp(common) if common is not None else None,
         witness=f,
     )
+
+
+def _equal_entropies(values, cliques) -> bool:
+    """Whether the rational weight gives every clique one entropy, exactly.
+
+    With gamma the common denominator and q = gamma * p, a clique sums to
+    1, so -gamma * H = sum of q log q - gamma log gamma.  The logs of a
+    coprime base of the q's are linearly independent over Q, so two
+    cliques have equal entropy iff their integer vectors of sum of
+    q * v_b(q) over base elements b are equal.
+    """
+    gamma = math.lcm(*(v.denominator for v in values))
+    qs = [int(v * gamma) for v in values]
+    base = _coprime_base(qs)
+    terms = {q: [q * _valuation(q, b) for b in base] for q in set(qs)}
+    sums = {tuple(map(sum, zip(*(terms[qs[v]] for v in clique)))) for clique in cliques}
+    return len(sums) <= 1
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to every number
+    > 1 given: a pair a, b with g = gcd(a, b) > 1 is split into a/g, b/g
+    and g until no such pair is left.  No factoring is needed."""
+    base = {x for x in numbers if x > 1}
+    while True:
+        for a, b in combinations(base, 2):
+            g = math.gcd(a, b)
+            if g > 1:
+                base = base - {a, b} | {x for x in (a // g, b // g, g) if x > 1}
+                break
+        else:
+            return sorted(base)
+
+
+def _valuation(q: int, b: int) -> int:
+    """The largest e with b**e dividing q; 0 when q is 0."""
+    e = 0
+    while q and q % b == 0:
+        q //= b
+        e += 1
+    return e
 
 
 def weight_from_partition_colouring(

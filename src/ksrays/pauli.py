@@ -13,7 +13,6 @@ from itertools import combinations
 
 from .orthograph import _bits, _gf2_eliminate, _gf2_reduce, _walk_cliques
 from .rays import Ray, make_ray
-from math import gcd
 
 LETTERS = "IXYZ"  # letter codes I=0, X=1, Y=2, Z=3
 
@@ -191,7 +190,7 @@ def joint_eigenrays(words) -> list[Ray]:
 
     Each word must square to +identity (even Y count).  Projectors
     (1 +- W)/2 for three independent generators are applied to standard
-    basis vectors; the common power of two is scaled out at the end.
+    basis vectors; make_ray divides out their common power of two.
     """
     words = list(words)
     if len(words) != 7 or any(w.n_qubits != 3 for w in words):
@@ -220,10 +219,7 @@ def joint_eigenrays(words) -> list[Ray]:
                 break
         if vec is None:
             raise ValueError("empty joint eigenspace; generators inconsistent")
-        g0 = 0
-        for x in vec:
-            g0 = gcd(g0, abs(x))
-        rays.append(make_ray([x // g0 for x in vec]))
+        rays.append(make_ray(vec))
     rays.sort(key=lambda r: tuple((c.re, c.im) for c in r.coords))
     return rays
 

@@ -15,7 +15,8 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
-from math import gcd
+from fractions import Fraction
+from math import lcm
 from operator import or_
 from struct import Struct
 from typing import Iterable, Sequence
@@ -68,11 +69,13 @@ UNITS = (
 
 
 def gi(value) -> GaussianInt:
-    """Coerce an int, complex with integral parts, or GaussianInt."""
+    """Coerce an int, integral Fraction, integral complex or GaussianInt."""
     if isinstance(value, GaussianInt):
         return value
-    if isinstance(value, int):
-        return GaussianInt(value, 0)
+    if isinstance(value, (int, Fraction)):
+        if value.denominator != 1:
+            raise ValueError(f"non-integral coordinate {value!r}")
+        return GaussianInt(int(value), 0)
     if isinstance(value, complex):
         re, im = value.real, value.imag
         if re != int(re) or im != int(im):
@@ -83,12 +86,13 @@ def gi(value) -> GaussianInt:
 
 @dataclass(frozen=True)
 class Ray:
-    """Canonical projective representative of a one-dimensional subspace.
+    """Canonical representative of a one-dimensional subspace of C^d.
 
-    The first nonzero coordinate of the canonical form is positive real
-    whenever some unit multiple achieves that (always the case for
-    coordinates in {0, +-1, +-i}); ties are broken towards a nonnegative
-    imaginary part.  Construct through :func:`make_ray`.
+    The coordinates are Gaussian integers with no common factor other
+    than a unit, and the first nonzero one has argument in (-pi/4, pi/4].
+    A subspace spanned by a Gaussian-integer vector has exactly one such
+    vector, so two Rays are equal iff they span the same subspace.
+    Construct through :func:`make_ray`.
     """
 
     coords: tuple[GaussianInt, ...]
@@ -101,58 +105,52 @@ class Ray:
         return "Ray(" + " ".join(repr(c) for c in self.coords) + ")"
 
 
-def make_ray(coords: Iterable) -> Ray:
-    """Build the canonical Ray spanned by the given coordinate vector.
+def _gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
+    """A gcd of a and b in Z[i]: Euclid's algorithm with rounded quotients."""
+    while not b.is_zero():
+        n = b.re * b.re + b.im * b.im
+        p = a * b.conjugate()
+        q = GaussianInt((2 * p.re + n) // (2 * n), (2 * p.im + n) // (2 * n))
+        a, b = b, a - q * b
+    return a
 
-    Any two vectors differing by a unit factor map to the same Ray.
-    Raises ValueError on the zero vector.
+
+def make_ray(coords: Iterable) -> Ray:
+    """The Ray spanned by a vector of Gaussian-integer or rational coordinates.
+
+    Denominators are cleared, the Gaussian-integer content is divided
+    out and a unit fixes the leading entry, so any two vectors spanning
+    one subspace map to the same Ray.  Raises ValueError on the zero
+    vector.
     """
-    cs = tuple(gi(c) for c in coords)
+    coords = tuple(coords)
+    den = lcm(*(c.denominator for c in coords if isinstance(c, Fraction)))
+    if den > 1:  # scaling by den makes every coordinate integral
+        scale = GaussianInt(den, 0)
+        coords = [c * den if isinstance(c, Fraction) else gi(c) * scale for c in coords]
+    cs = tuple(map(gi, coords))
     if not cs:
         raise ValueError("empty coordinate vector")
     lead = next((c for c in cs if not c.is_zero()), None)
     if lead is None:
         raise ValueError("zero vector is not a ray")
-    # Pick the unit multiple whose leading entry has re > 0 and, among
-    # those, im >= 0 with im == 0 preferred.  For leading entries that are
-    # unit multiples of a positive integer this makes the lead real.
-    best = None
-    best_key = None
+    # The content g, stopping once it is a unit: cs / g is primitive.
+    g = lead
+    for c in cs:
+        if g.re * g.re + g.im * g.im == 1:
+            break
+        g = _gcd(c, g)
+    # Of the four unit multiples of cs / g, keep the one whose leading
+    # entry has argument in (-pi/4, pi/4]: m = u * conj(g) = u * |g|^2 / g.
     for u in UNITS:
-        lu = u * lead
-        if lu.re <= 0:
-            continue
-        # The final component resolves re == |im| ties towards im > 0,
-        # keeping the choice a function of the orbit alone.
-        key = (0 if lu.im == 0 else 1, abs(lu.im), 0 if lu.im > 0 else 1)
-        if best_key is None or key < best_key:
-            best, best_key = u, key
-    assert best is not None  # some rotation of a nonzero entry has re > 0
-    if best != GI_ONE:
-        cs = tuple(best * c for c in cs)
+        m = u * g.conjugate()
+        top = m * lead
+        if -top.re < top.im <= top.re:
+            break
+    if m != GI_ONE:
+        n = g.re * g.re + g.im * g.im
+        cs = tuple(GaussianInt(p.re // n, p.im // n) for p in (m * c for c in cs))
     return Ray(cs)
-
-
-def scaled_ray(numerators: Sequence) -> Ray:
-    """Build a Ray from rational coordinates by clearing denominators.
-
-    Accepts Fractions or ints; divides out the integer content before
-    canonicalizing.
-    """
-    from fractions import Fraction
-
-    fracs = [Fraction(x) for x in numerators]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector is not a ray")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    return make_ray(ints)
 
 
 def inner_product(x: Ray, y: Ray) -> GaussianInt:
@@ -192,7 +190,8 @@ class Configuration:
         for i, r in enumerate(rays):
             if r in seen:
                 raise ValueError(
-                    f"duplicate ray at positions {seen[r]} and {i}: {r!r}"
+                    f"rows {seen[r]} and {i} (counting from 0) are parallel "
+                    f"vectors, so they are one ray: duplicate {r!r}"
                 )
             seen[r] = i
         n = len(rays)
@@ -322,11 +321,6 @@ def _compress(words: list[int], keep: int, n: int) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, chunks, repeat(order)))
 
 
-def build_configuration(rays: Sequence[Ray]) -> Configuration:
-    """Assemble a Configuration, rejecting duplicates and mixed dimensions."""
-    return Configuration(rays)
-
-
 # --- vector file format -------------------------------------------------
 
 def _format_coord(c: GaussianInt) -> str:
@@ -388,34 +382,8 @@ def load_vectors(text: str, dim: int, count: int | None = None) -> Configuration
         raise ValueError(
             f"expected {count * dim} coordinates, found {len(tokens)}"
         )
-    rays = []
-    rows: dict[tuple, int] = {}
-    for i in range(count):
-        coords = [_parse_coord(t) for t in tokens[i * dim : (i + 1) * dim]]
-        rays.append(make_ray(coords))
-        key = _direction_key(coords)
-        if key in rows:
-            raise ValueError(
-                f"rows {rows[key]} and {i} (counting from 0) are parallel "
-                f"vectors, so they are one ray"
-            )
-        rows[key] = i
-    return build_configuration(rays)
-
-
-def _direction_key(coords: Sequence[GaussianInt]) -> tuple:
-    """The vector divided by its first nonzero coordinate, exactly.
-
-    Two nonzero vectors span the same ray iff their keys are equal.
-    Each entry is c / lead = c * conj(lead) / |lead|**2 as a pair of
-    Fractions (real part, imaginary part).
-    """
-    from fractions import Fraction
-
-    lead = next(c for c in coords if not c.is_zero())
-    norm = lead.re * lead.re + lead.im * lead.im
-    out = []
-    for c in coords:
-        q = c * lead.conjugate()
-        out.append((Fraction(q.re, norm), Fraction(q.im, norm)))
-    return tuple(out)
+    rays = [
+        make_ray(_parse_coord(t) for t in tokens[i * dim : (i + 1) * dim])
+        for i in range(count)
+    ]
+    return Configuration(rays)

@@ -14,6 +14,7 @@ from ksrays import builtin
 from ksrays.colouring import find_partition_colouring
 from ksrays.entropy import (
     ProbabilityWeight,
+    _coprime_base,
     entropy_report,
     minimize_entropy,
     validate_probability_weight,
@@ -85,6 +86,82 @@ class TestEntropyReport:
         rep = entropy_report(m_config, w)
         assert rep.equientropic
         assert abs(rep.common_entropy - math.log(2)) < 1e-12
+
+
+def basis_and_hadamard() -> Configuration:
+    """The standard basis of C^8 and the rows of the Sylvester Hadamard
+    matrix: saturated, with exactly these two 8-cliques."""
+    rows = [[1]]
+    while len(rows) < 8:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return Configuration(
+        [make_ray([int(i == j) for j in range(8)]) for i in range(8)]
+        + [make_ray(r) for r in rows]
+    )
+
+
+def _partitions(total: int, parts: int, largest: int | None = None):
+    """Non-increasing lists of at most `parts` positive ints summing to total."""
+    if total == 0:
+        yield []
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        if parts:
+            for rest in _partitions(total - first, parts - 1, first):
+                yield [first] + rest
+
+
+class TestExactEquientropy:
+    """The rational verdict compares entropies, not value multisets."""
+
+    def test_different_multisets_with_equal_entropy(self):
+        # Both cliques have entropy log 4.
+        vals = [Fraction(1, 4)] * 4 + [Fraction(0)] * 4
+        vals += [Fraction(1, 2)] + [Fraction(1, 8)] * 4 + [Fraction(0)] * 3
+        config = basis_and_hadamard()
+        for values in (vals, [float(v) for v in vals]):
+            rep = entropy_report(config, ProbabilityWeight(tuple(values)))
+            assert rep.equientropic
+            assert abs(rep.common_entropy - math.log(4)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [8, 10])
+    def test_every_pair_of_clique_weights_against_integer_oracle(self, gamma):
+        # Every pair of weights with denominator gamma on the two cliques.
+        # gamma * H = gamma log gamma - log(prod of q**q), so the entropies
+        # agree iff the integers prod(q**q) do; floats must agree too.
+        config = basis_and_hadamard()
+        weights = [p + [0] * (8 - len(p)) for p in _partitions(gamma, 8)]
+        equal = 0
+        for first in weights:
+            for second in weights:
+                values = [Fraction(q, gamma) for q in first + second]
+                same = math.prod(q**q for q in first) == math.prod(q**q for q in second)
+                for mode in (values, [float(v) for v in values]):
+                    rep = entropy_report(config, ProbabilityWeight(tuple(mode)))
+                    assert rep.equientropic == same, (first, second)
+                equal += same and first != second
+        assert equal > 0
+
+    def test_coprime_base(self):
+        import random
+
+        rng = random.Random(3)
+        for _ in range(200):
+            numbers = [rng.choice([0, 1, 2 + rng.randrange(5000)]) for _ in range(rng.randrange(9))]
+            base = _coprime_base(numbers)
+            assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[:i])
+            for x in numbers:
+                for b in base:
+                    while x > 1 and x % b == 0:
+                        x //= b
+                assert x in (0, 1)
+
+    def test_no_rays_is_an_error(self):
+        empty = Configuration([])
+        with pytest.raises(ValueError, match="no rays"):
+            minimize_entropy(empty)
+        with pytest.raises(ValueError, match="no rays"):
+            entropy_report(empty, ProbabilityWeight(()))
 
 
 class TestPartitionWeights:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
 from ksrays.colouring import _counts_without
-from ksrays.rays import Configuration, make_ray
+from ksrays.rays import Configuration, GaussianInt, Ray, make_ray
 from ksrays.orthograph import (
     Signature,
     _bits,
@@ -163,8 +163,12 @@ def _clique_masks_reference(rows, n: int, d: int) -> tuple[int, ...]:
 
 def _graph(rows, d: int) -> Configuration:
     """A fresh configuration with the given adjacency; the rays are
-    distinct placeholders and play no part in any clique computation."""
-    rays = [make_ray([k + 1] + [0] * (d - 1)) for k in range(len(rows))]
+    placeholders and play no part in any clique computation.  C^1 has
+    one ray only, so for d = 1 they are distinct raw Ray objects."""
+    if d == 1:
+        rays = [Ray((GaussianInt(k + 1, 0),)) for k in range(len(rows))]
+    else:
+        rays = [make_ray([1, k] + [0] * (d - 2)) for k in range(len(rows))]
     return Configuration(rays, rows)
 
 

@@ -14,15 +14,14 @@ from ksrays.rays import (
     UNITS,
     _compress,
     _parse_coord,
-    build_configuration,
     dump_vectors,
     gi,
     inner_product,
     load_vectors,
     make_ray,
     orthogonal,
-    scaled_ray,
 )
+from ksrays.datasets import builtin
 
 gaussian_ints = st.builds(
     GaussianInt,
@@ -86,11 +85,85 @@ class TestMakeRay:
         ray = make_ray(cs)
         assert make_ray(ray.coords) == ray
 
-    def test_scaled_ray_clears_denominators(self):
-        assert scaled_ray([Fraction(1, 2), Fraction(-1, 2)]) == make_ray([1, -1])
-        assert scaled_ray([Fraction(3, 2), 0, Fraction(3, 4)]) == make_ray([2, 0, 1])
+    def test_make_ray_clears_denominators(self):
+        assert make_ray([Fraction(1, 2), Fraction(-1, 2)]) == make_ray([1, -1])
+        assert make_ray([Fraction(3, 2), 0, Fraction(3, 4)]) == make_ray([2, 0, 1])
+        assert make_ray([Fraction(1, 3), 1j]) == make_ray([1, 3j])
         with pytest.raises(ValueError):
-            scaled_ray([0, 0])
+            make_ray([Fraction(0), 0])
+
+
+def _direction_key(coords) -> tuple:
+    """Oracle: the vector divided by its first nonzero coordinate, exactly.
+
+    Two nonzero vectors span the same ray iff their keys are equal.
+    Each entry is c / lead = c * conj(lead) / |lead|**2 as a pair of
+    Fractions (real part, imaginary part).
+    """
+    coords = [gi(c) for c in coords]
+    lead = next(c for c in coords if not c.is_zero())
+    norm = lead.re * lead.re + lead.im * lead.im
+    out = []
+    for c in coords:
+        q = c * lead.conjugate()
+        out.append((Fraction(q.re, norm), Fraction(q.im, norm)))
+    return tuple(out)
+
+
+def _random_vector(rng, dim: int, size: int) -> list[GaussianInt]:
+    while True:
+        v = [GaussianInt(rng.randint(-size, size), rng.randint(-size, size))
+             for _ in range(dim)]
+        if any(not c.is_zero() for c in v):
+            return v
+
+
+class TestRayIdentity:
+    """make_ray decides ray identity: equal Rays iff one subspace."""
+
+    def test_gaussian_multiples_collapse(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(3000):
+            v = _random_vector(rng, rng.randint(1, 4), rng.choice([1, 3, 20]))
+            s = _random_vector(rng, 1, 6)[0]
+            assert make_ray([s * c for c in v]) == make_ray(v)
+
+    def test_equal_iff_direction_keys_equal(self):
+        import random
+
+        rng = random.Random(8)
+        equal = 0
+        for _ in range(6000):
+            dim, size = rng.randint(1, 4), rng.choice([1, 2, 6])
+            v = _random_vector(rng, dim, size)
+            if rng.random() < 0.5:
+                s = _random_vector(rng, 1, 4)[0]
+                u = [s * c for c in v]
+            else:
+                u = _random_vector(rng, dim, size)
+            same = _direction_key(u) == _direction_key(v)
+            assert (make_ray(u) == make_ray(v)) == same, (u, v)
+            equal += same
+        assert 2000 < equal < 4000
+
+    @pytest.mark.parametrize("name", ["M", "N", "T0", "KP40", "KP36", "E8", "A", "B"])
+    def test_builtin_rays_are_fixed_points(self, name):
+        config = builtin(name)
+        assert all(make_ray(r.coords) == r for r in config.rays)
+        assert load_vectors(dump_vectors(config), config.dim) == config
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [[1, 1, 0], [2, 2, 0], [1, -1, 0]],
+            [[1 + 1j, 1 - 1j], [1, -1j]],
+        ],
+    )
+    def test_parallel_rays_rejected(self, rays):
+        with pytest.raises(ValueError, match="^rows 0 and 1 .*parallel"):
+            Configuration([make_ray(v) for v in rays])
 
 
 class TestInnerProduct:
@@ -118,14 +191,14 @@ class TestInnerProduct:
 class TestConfiguration:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            build_configuration([make_ray([1, 1]), make_ray([-1, -1])])
+            Configuration([make_ray([1, 1]), make_ray([-1, -1])])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
-            build_configuration([make_ray([1, 0]), make_ray([1, 0, 0])])
+            Configuration([make_ray([1, 0]), make_ray([1, 0, 0])])
 
     def test_immutability(self):
-        c = build_configuration([make_ray([1, 0]), make_ray([0, 1])])
+        c = Configuration([make_ray([1, 0]), make_ray([0, 1])])
         with pytest.raises(AttributeError):
             c.n = 5
 
@@ -139,7 +212,7 @@ class TestConfiguration:
 
     def test_restrict_matches_rebuild(self, m_config):
         sub = m_config.restrict(range(0, 20, 2))
-        rebuilt = build_configuration(sub.rays)
+        rebuilt = Configuration(sub.rays)
         assert sub.adj == rebuilt.adj
 
     def test_delete_drops_one_ray(self, n_config):
@@ -201,7 +274,7 @@ class TestVectorFormat:
         assert again == m_config
 
     def test_complex_tokens(self):
-        config = build_configuration([make_ray([1, 1j]), make_ray([1, -1j])])
+        config = Configuration([make_ray([1, 1j]), make_ray([1, -1j])])
         text = dump_vectors(config)
         assert "0+1j" in text
         assert load_vectors(text, 2) == config
@@ -270,7 +343,7 @@ class TestVectorFormat:
 
     def test_large_gaussian_round_trip(self):
         big = GaussianInt(0, 2**60 + 1)
-        config = build_configuration([make_ray([1, big]), make_ray([1, 0])])
+        config = Configuration([make_ray([1, big]), make_ray([1, 0])])
         text = dump_vectors(config)
         assert "+1152921504606846977j" in text
         again = load_vectors(text, 2)
