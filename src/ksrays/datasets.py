@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .rays import Configuration, Ray, make_ray
 from .orthograph import _bits, capacity, clique_masks
@@ -232,10 +234,18 @@ class LinearMap:
             for row in self.matrix
         ]
 
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix times the lcm of its denominators: an integer matrix."""
+        den = lcm(*(x.denominator for row in self.matrix for x in row))
+        return tuple(tuple(int(x * den) for x in row) for row in self.matrix)
+
     def apply_ray(self, ray: Ray) -> Ray:
+        """The ray of the image; a positive multiple of the matrix maps rays alike."""
         if any(c.im != 0 for c in ray.coords):
             raise ValueError("transform is defined on real vectors only")
-        return make_ray(self.apply([c.re for c in ray.coords]))
+        vec = [c.re for c in ray.coords]
+        return make_ray([sum(map(mul, row, vec)) for row in self._numerators])
 
     def gram_scalar(self) -> Fraction:
         """The c with matrix^T matrix = c * identity; raises otherwise."""
@@ -385,10 +395,9 @@ def capacity_pipeline() -> CapacityPipelineReport:
     w_list = [frozenset(_bits(u)) for u in w_masks]
     q_list = [frozenset(_bits(u)) for u in q_masks]
 
-    # Mirror the Q sets through T into T(A).
-    q_mirrors = [
-        frozenset(t.apply_ray(a.rays[i]) for i in q) for q in q_list
-    ]
+    # Mirror the Q sets through T into T(A), mapping each ray of A once.
+    images = [t.apply_ray(r) for r in a.rays]
+    q_mirrors = [frozenset(images[i] for i in q) for q in q_list]
 
     cap_a = capacity(a)
 

@@ -1,10 +1,16 @@
 """Exact projective arithmetic for rays with Gaussian-integer coordinates.
 
-All arithmetic in this module is over the Gaussian integers; there is no
-floating point anywhere.  A Ray is a canonical representative of a
-one-dimensional subspace of C^d, and a Configuration is an immutable,
-ordered collection of distinct rays together with the bitset adjacency of
-its orthogonality graph.
+All ray arithmetic in this module is over the Gaussian integers; the
+only floats are the file reader's, for complex tokens written in float
+syntax, which it reads exactly below 2**53.  A Ray is a canonical
+representative of a one-dimensional subspace of C^d, and a Configuration
+is an immutable, ordered collection of distinct rays together with the
+bitset adjacency of its orthogonality graph.
+
+A Configuration computes that adjacency from plain-int dot products of
+its rays' real and imaginary parts, never from GaussianInt objects:
+:func:`inner_product` and :func:`orthogonal` are the reference that the
+tests hold those rows to.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import reduce
 from itertools import compress, repeat
 from fractions import Fraction
 from math import lcm
-from operator import or_
+from operator import mul, or_
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -167,11 +173,33 @@ def orthogonal(x: Ray, y: Ray) -> bool:
     return inner_product(x, y).is_zero()
 
 
+def _orthogonality_rows(rays: Sequence[Ray]) -> list[int]:
+    """Bitset rows of the orthogonality graph of rays of one dimension.
+
+    For x = a + ib and y = p + iq, <x, y> = (a.p + b.q) + i(a.q - b.p).
+    So with u = (a, b) and w = (-b, a) for x, and u' = (p, q) for y, the
+    rays are orthogonal iff u.u' = 0 and w.u' = 0: plain-int dot
+    products, exact at any size, that agree with :func:`orthogonal`.
+    """
+    us = [tuple(c.re for c in r.coords) + tuple(c.im for c in r.coords) for r in rays]
+    ws = [tuple(-c.im for c in r.coords) + tuple(c.re for c in r.coords) for r in rays]
+    rows = [0] * len(us)
+    for i, (u, w) in enumerate(zip(us, ws)):
+        for j in range(i + 1, len(us)):
+            y = us[j]
+            if not sum(map(mul, u, y)) and not sum(map(mul, w, y)):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 class Configuration:
     """Immutable ray set with precomputed orthogonality adjacency.
 
     Adjacency rows are stored as Python-int bitsets; row i has bit j set
-    iff ray i is orthogonal to ray j.  Ray order is the construction
+    iff ray i is orthogonal to ray j.  Unless given as ``adj``, they
+    come from the plain-int dot products of :func:`_orthogonality_rows`;
+    :func:`orthogonal` is the reference.  Ray order is the construction
     order and is deterministic.
     """
 
@@ -196,13 +224,7 @@ class Configuration:
             seen[r] = i
         n = len(rays)
         if adj is None:
-            rows = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if orthogonal(rays[i], rays[j]):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            adj = rows
+            adj = _orthogonality_rows(rays)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "n", n)
@@ -370,7 +392,14 @@ def dump_vectors(config: Configuration) -> str:
 
 
 def load_vectors(text: str, dim: int, count: int | None = None) -> Configuration:
-    """Parse the flat vector format: count*dim integers, row-major."""
+    """Parse the flat vector format: count*dim integers, row-major.
+
+    Raises ValueError unless dim >= 1 and count, when given, is >= 0.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     tokens = text.split()
     if count is None:
         if len(tokens) % dim != 0:

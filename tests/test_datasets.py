@@ -109,6 +109,15 @@ class TestTransform:
         for source, target in TRANSFORM_PAIRS:
             assert t.apply_ray(make_ray(source)) == make_ray(target)
 
+    def test_integer_apply_ray_matches_fraction_apply(self):
+        # apply_ray multiplies by the integer numerator matrix; the ray
+        # of the image must equal the ray of the exact rational image.
+        t = build_transform_T()
+        a = builtin("A")
+        assert len(a.rays) == 64
+        for r in a.rays:
+            assert t.apply_ray(r) == make_ray(t.apply([c.re for c in r.coords]))
+
     def test_preserves_orthogonality(self):
         t = build_transform_T()
         m = builtin("M")

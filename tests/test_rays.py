@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +189,68 @@ class TestInnerProduct:
         assert inner_product(x, y) == inner_product(y, x).conjugate()
 
 
+def _pairwise_rows(rays):
+    """Reference adjacency: one orthogonal() call per pair of rays."""
+    rows = [0] * len(rays)
+    for i, j in combinations(range(len(rays)), 2):
+        if orthogonal(rays[i], rays[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+class TestAdjacencyKernel:
+    """Configuration's plain-int rows against pairwise orthogonal()."""
+
+    @pytest.mark.parametrize("name", ["M", "KP40", "A", "B", "E8"])
+    def test_builtin_rows_match_pairwise_oracle(self, name):
+        config = builtin(name)
+        assert Configuration(config.rays).adj == _pairwise_rows(config.rays)
+
+    @pytest.mark.parametrize(
+        "x, y, product",
+        [
+            # Zero real part: a kernel that tests only the real part fails.
+            ([1, 1], [1, -1 + 1j], GaussianInt(0, 1)),
+            # 2**64, which 64-bit integer arithmetic would wrap to 0.
+            ([2**32, 1, 0], [2**32, 0, 1], GaussianInt(2**64, 0)),
+        ],
+    )
+    def test_nonzero_inner_product_is_not_orthogonal(self, x, y, product):
+        x, y = make_ray(x), make_ray(y)
+        assert inner_product(x, y) == product
+        assert Configuration([x, y]).adj == (0, 0) == _pairwise_rows([x, y])
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_random_gaussian_rays_match_pairwise_oracle(self, dim):
+        import random
+
+        rng = random.Random(2100 + dim)
+        big = 2**64 + 3
+        seen = {}
+        for size in (1, 2, big):
+            for _ in range(40):
+                # Small entries with zeros make orthogonal pairs common.
+                v = [GaussianInt(rng.randint(-size, size) * rng.randint(0, 1),
+                                 rng.randint(-size, size) * rng.randint(0, 1))
+                     for _ in range(dim)]
+                if any(not c.is_zero() for c in v):
+                    seen.setdefault(make_ray(v), None)
+        # Pairs orthogonal only through big entries: x and a vector made
+        # orthogonal to it, e.g. (a, b) and (-conj(b), conj(a)).
+        for _ in range(5):
+            a = GaussianInt(rng.randint(-big, big), rng.randint(-big, big))
+            b = GaussianInt(rng.randint(-big, big), rng.randint(-big, big))
+            if dim >= 2 and not (a.is_zero() and b.is_zero()):
+                pad = [GaussianInt(0, 0)] * (dim - 2)
+                seen.setdefault(make_ray([a, b] + pad), None)
+                seen.setdefault(make_ray([-b.conjugate(), a.conjugate()] + pad), None)
+        rays = list(seen)
+        rows = _pairwise_rows(rays)
+        assert Configuration(rays).adj == rows
+        assert any(rows) or dim == 1
+
+
 class TestConfiguration:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -296,6 +359,15 @@ class TestVectorFormat:
     def test_non_parallel_vectors_accepted(self):
         config = load_vectors("1 1\n1 -1\n1 1j\n1 2\n2 1\n", 2)
         assert config.n == 5
+
+    @pytest.mark.parametrize(
+        "dim, count, message",
+        [(0, None, "dim"), (-2, None, "dim"), (-2, -2, "dim"), (2, -1, "count")],
+    )
+    def test_bad_dim_or_count_rejected(self, dim, count, message):
+        # Unchecked, dim 0 divides by zero and dim -2 yields no rays at all.
+        with pytest.raises(ValueError, match=rf"^{message} must be at least"):
+            load_vectors("1 0 0 1", dim, count)
 
     def test_bad_token_reported(self):
         with pytest.raises(ValueError, match="token"):
