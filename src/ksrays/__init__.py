@@ -32,8 +32,6 @@ from .colouring import (
 from .tropical import (
     TropicalWitness,
     admits_anticlique_section,
-    enumerate_tropical_subconfigurations,
-    iter_witnesses,
     tropical_dimension,
 )
 from .entropy import (
@@ -48,8 +46,6 @@ from .datasets import builtin, build_transform_T, capacity_pipeline
 __all__ = [
     "TropicalWitness",
     "admits_anticlique_section",
-    "enumerate_tropical_subconfigurations",
-    "iter_witnesses",
     "tropical_dimension",
     "ProbabilityWeight",
     "EntropyReport",

@@ -8,7 +8,7 @@ finds nothing (no colouring, no witnesses), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
@@ -18,7 +18,6 @@ from . import datasets
 from .rays import Configuration, dump_vectors, load_vectors
 from .orthograph import (
     is_saturated,
-    maximal_cliques,
     signature,
     steiner_check,
 )
@@ -29,7 +28,7 @@ from .colouring import (
     is_ks_configuration,
     parity_proof,
 )
-from .tropical import _require_covered, iter_witnesses, tropical_dimension
+from .tropical import tropical_dimension
 from .entropy import (
     InvalidWeightError,
     ProbabilityWeight,
@@ -148,8 +147,9 @@ def _cmd_tropical(args) -> int:
         raise InputError(f"--max-n must be at least 1, got {max_n}{default}")
     t0 = time.perf_counter()
     if args.exhaustive:
-        return _tropical_exhaustive(config, max_n, args.state, t0)
-    got = tropical_dimension(config, max_n)
+        got = tropical_dimension(config, max_n, sample_per_n=math.inf)
+    else:
+        got = tropical_dimension(config, max_n)
     if got is None:
         _say(f"no section-free collection up to {max_n} cliques")
         return 1
@@ -162,59 +162,6 @@ def _cmd_tropical(args) -> int:
     for u in unions:
         print(" ".join(str(i) for i in u))
     return 0
-
-
-def _tropical_exhaustive(config, max_n: int, state_path: str | None, t0) -> int:
-    _require_covered(config)
-    state = {"n": 1, "pos": 0, "witnesses": []}
-    if state_path and os.path.exists(state_path):
-        with open(state_path) as fh:
-            state = json.load(fh)
-        _say(f"resuming at level {state['n']}, position {state['pos']}")
-
-    def checkpoint() -> None:
-        if state_path:
-            tmp = state_path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(state, fh)
-            os.replace(tmp, state_path)
-
-    def progress(pos: int, total: int) -> None:
-        state["pos"] = pos
-        checkpoint()
-        _say(
-            f"level {state['n']}: {pos}/{total} subsets, "
-            f"{len(state['witnesses'])} witnesses, "
-            f"{time.perf_counter() - t0:.0f}s"
-        )
-
-    for n in range(state["n"], max_n + 1):
-        if n != state["n"]:
-            state.update(n=n, pos=0, witnesses=[])
-        for pos, tup in iter_witnesses(
-            config, n, start=state["pos"], progress=progress
-        ):
-            state["witnesses"].append(list(tup))
-            state["pos"] = pos + 1
-            checkpoint()
-        if state["witnesses"]:
-            cliques = maximal_cliques(config)
-            unions = sorted(
-                {
-                    tuple(sorted(set().union(*(cliques[i] for i in tup))))
-                    for tup in state["witnesses"]
-                }
-            )
-            _say(
-                f"tropical dimension {n}: {len(state['witnesses'])} "
-                f"witness collection(s), {len(unions)} distinct union(s) "
-                f"({time.perf_counter() - t0:.0f}s)"
-            )
-            for u in unions:
-                print(" ".join(str(i) for i in u))
-            return 0
-    _say(f"no section-free collection up to {max_n} cliques")
-    return 1
 
 
 def _cmd_colour(args) -> int:
@@ -372,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exhaustive",
         action="store_true",
-        help="fully enumerate every level (long run; supports --state)",
+        help="scan every level in full, with no sampling (long run)",
     )
-    p.add_argument("--state", default=None, help="checkpoint file for resumable exhaustive runs")
     p.set_defaults(func=_cmd_tropical)
 
     p = sub.add_parser("colour", help="partition-compatible colouring search")

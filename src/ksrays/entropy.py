@@ -74,15 +74,13 @@ def _require_saturated(config: Configuration) -> None:
         )
 
 
-def validate_probability_weight(
-    config: Configuration, f: ProbabilityWeight, tol: float = CLIQUE_SUM_TOL
-) -> bool:
+def validate_probability_weight(config: Configuration, f: ProbabilityWeight) -> bool:
     """True iff every maximal clique sums to 1 (exactly in rational mode)."""
     _require_saturated(config)
-    return _sums_to_one(config, f, maximal_cliques(config), tol)
+    return _sums_to_one(config, f, maximal_cliques(config))
 
 
-def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques, tol) -> bool:
+def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques) -> bool:
     if len(f.values) != config.n:
         raise ValueError("weight is not total on the configuration")
     if any(v < 0 or v > 1 for v in f.values):
@@ -93,34 +91,32 @@ def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques, tol) -> b
         if exact:
             if s != 1:
                 return False
-        elif abs(float(s) - 1.0) > tol:
+        elif abs(float(s) - 1.0) > CLIQUE_SUM_TOL:
             return False
     return True
 
 
-def entropy_report(
-    config: Configuration, f: ProbabilityWeight, tol: float = EQUIENTROPY_TOL
-) -> EntropyReport:
+def entropy_report(config: Configuration, f: ProbabilityWeight) -> EntropyReport:
     """Per-clique entropies and the equientropic verdict.
 
     In rational mode the verdict is exact (see :func:`_equal_entropies`);
-    in floating mode entropies are compared within tol.
+    in floating mode entropies are compared within EQUIENTROPY_TOL.
     """
     _require_saturated(config)
-    return _report(config, f, tol)
+    return _report(config, f)
 
 
-def _report(config: Configuration, f: ProbabilityWeight, tol: float) -> EntropyReport:
+def _report(config: Configuration, f: ProbabilityWeight) -> EntropyReport:
     """:func:`entropy_report` on a configuration already known to be saturated."""
     cliques = maximal_cliques(config)
-    if not _sums_to_one(config, f, cliques, CLIQUE_SUM_TOL):
+    if not _sums_to_one(config, f, cliques):
         raise InvalidWeightError("not a valid probability weight")
     # Summing negated terms keeps a zero entropy at +0.0.
     per = {c: sum(-_xlogx(float(f.values[v])) for v in c) for c in cliques}
     if f.exact:
         equi = _equal_entropies(f.values, cliques)
     else:
-        equi = max(per.values()) - min(per.values()) <= tol
+        equi = max(per.values()) - min(per.values()) <= EQUIENTROPY_TOL
     common = next(iter(per.values())) if equi else None
     return EntropyReport(
         per_clique=per,
@@ -236,9 +232,7 @@ def minimize_entropy(config: Configuration) -> EntropyReport:
             weight = weight_from_partition_colouring(
                 config, col, (Fraction(0), Fraction(1, a))
             )
-            return _report(config, weight, EQUIENTROPY_TOL)
+            return _report(config, weight)
     return _report(
-        config,
-        ProbabilityWeight(tuple(Fraction(1, d) for _ in range(config.n))),
-        EQUIENTROPY_TOL,
+        config, ProbabilityWeight(tuple(Fraction(1, d) for _ in range(config.n)))
     )

@@ -1,4 +1,4 @@
-"""Anticlique sections, tropical dimension, and tropical subconfigurations.
+"""Anticlique sections and the tropical dimension.
 
 An anticlique section of a clique collection picks exactly one ray from
 each clique so that the picked rays are pairwise non-orthogonal with
@@ -72,18 +72,24 @@ def _require_covered(config: Configuration) -> None:
 def tropical_dimension(
     config: Configuration,
     max_n: int,
-    sample_per_n: int = 2000,
+    sample_per_n: int | float = 2000,
     rng: random.Random | None = None,
 ):
     """Smallest n <= max_n with a section-free clique collection.
 
     Returns (n, witnesses) or None if every examined collection up to
-    max_n admits a section.  Levels below max_n are sampled rather than
-    fully enumerated.  Level max_n is searched over every
-    pairwise-disjoint tuple plus a random sample of overlapping ones; a
+    max_n admits a section.  No collection has more cliques than the
+    m maximal cliques, so only levels n <= min(max_n, m) are searched.
+
+    A level whose C(m, n) clique n-sets number at most sample_per_n is
+    scanned in full, which is never more section calls than sampling
+    it, and its answer is exact; ``sample_per_n=math.inf`` makes every
+    level exact (``ksrays tropical --exhaustive``).  A lower level that
+    does not fit is sampled with sample_per_n random n-sets.  A top
+    level n = max_n that does not fit is searched over every
+    pairwise-disjoint n-tuple plus sample_per_n random ones; a
     section-free overlapping tuple raises AssertionError, as only the
-    full scan ``iter_witnesses`` (``ksrays tropical --exhaustive``)
-    finds such witnesses.
+    full scan lists such witnesses.
 
     The disjoint tuples are the max_n-cliques of the disjointness graph
     on the cliques.  Their sections are exactly the independent
@@ -100,17 +106,26 @@ def tropical_dimension(
     masks = clique_masks(config)
     m = len(masks)
     rows = config.adj
-    for n in range(1, max_n):
+    for n in range(1, min(max_n, m) + 1):
+        if math.comb(m, n) <= sample_per_n:
+            tuples = combinations(range(m), n)
+        elif n < max_n:
+            tuples = _sampled_tuples(m, n, sample_per_n, rng)
+        else:
+            break
         witnesses = [
             _witness(masks, tup)
-            for tup in _sampled_tuples(m, n, sample_per_n, rng)
+            for tup in tuples
             if _section_masks(rows, [masks[i] for i in tup]) is None
         ]
         if witnesses:
             return n, witnesses
+    else:
+        return None
 
-    # Clique i weighs its rays plus bit shift + i: a disjoint tuple's OR
-    # is its union below bit shift and its clique indices above.
+    # The top level n = max_n does not fit the budget.  Clique i weighs
+    # its rays plus bit shift + i: a disjoint tuple's OR is its union
+    # below bit shift and its clique indices above.
     shift = config.n
     rays = (1 << shift) - 1
     incidence = clique_incidence(config)
@@ -133,16 +148,16 @@ def tropical_dimension(
             witnesses.append(TropicalWitness(_bits(tagged >> shift), verdicts[union]))
 
     weights = [c | 1 << (shift + i) for i, c in enumerate(masks)]
-    _walk_cliques(disjoint, max_n, weights, decide)
-    for tup in _sampled_tuples(m, max_n, sample_per_n, rng):
+    _walk_cliques(disjoint, n, weights, decide)
+    for tup in _sampled_tuples(m, n, sample_per_n, rng):
         if any(
             masks[a] & masks[b] for a, b in combinations(tup, 2)
         ) and _section_masks(rows, [masks[i] for i in tup]) is None:
             raise AssertionError(
                 "witness with overlapping cliques found; rerun with "
-                "`ksrays tropical --exhaustive` (iter_witnesses)"
+                "sample_per_n=math.inf (`ksrays tropical --exhaustive`)"
             )
-    return (max_n, witnesses) if witnesses else None
+    return (n, witnesses) if witnesses else None
 
 
 def _witness(masks, tup) -> TropicalWitness:
@@ -153,76 +168,5 @@ def _witness(masks, tup) -> TropicalWitness:
 
 
 def _sampled_tuples(m: int, n: int, count: int, rng: random.Random):
-    if n > m:
-        return
     for _ in range(count):
         yield tuple(sorted(rng.sample(range(m), n)))
-
-
-def iter_witnesses(
-    config: Configuration,
-    n: int,
-    start: int = 0,
-    progress=None,
-    progress_every: int = 100_000,
-):
-    """Scan all n-subsets of the maximal cliques for section-free ones.
-
-    Yields (position, clique index tuple) pairs in lexicographic order,
-    beginning at the given position; a caller can checkpoint the last
-    position seen and resume later.  Positions count every examined
-    subset, witness or not, so the stream is restartable at any point.
-    The optional progress callback receives (position, total) every
-    progress_every subsets.
-    """
-    if start < 0:
-        raise ValueError("start position must be non-negative")
-    masks = clique_masks(config)
-    rows = config.adj
-    total = math.comb(len(masks), n)
-    for pos, tup in enumerate(_combinations_from(len(masks), n, start), start):
-        if progress is not None and pos % progress_every == 0:
-            progress(pos, total)
-        if _section_masks(rows, [masks[i] for i in tup]) is None:
-            yield pos, tup
-
-
-def _combinations_from(m: int, n: int, start: int):
-    """The n-subsets of range(m) in lexicographic order, from rank start on.
-
-    The start-th subset is unranked with binomial coefficients; every
-    later one keeps a prefix of it and is larger at the next place, so
-    nothing before the start is generated.
-    """
-    if start >= math.comb(m, n):
-        return
-    first = []
-    x = 0
-    for j in range(n, 0, -1):
-        while start >= (c := math.comb(m - x - 1, j - 1)):
-            start -= c
-            x += 1
-        first.append(x)
-        x += 1
-    yield tuple(first)
-    for j in range(n - 1, -1, -1):
-        head = tuple(first[:j])
-        for tail in combinations(range(first[j] + 1, m), n - j):
-            yield head + tail
-
-
-def enumerate_tropical_subconfigurations(
-    config: Configuration, witnesses: list[TropicalWitness] | None = None
-) -> list[Configuration]:
-    """Distinct unions over all tropical witnesses, as subconfigurations.
-
-    Witnesses default to the restricted tropical-dimension search with
-    max_n = d - 2 (the value realized by the built-in datasets).
-    """
-    if witnesses is None:
-        got = tropical_dimension(config, config.dim - 2)
-        if got is None:
-            return []
-        _, witnesses = got
-    unions = sorted(tuple(sorted(u)) for u in {w.union for w in witnesses})
-    return [config.restrict(u) for u in unions]

@@ -251,6 +251,13 @@ class TestTropical:
         assert out == ""
         assert err == f"error: --max-n must be at least 1, got {value}\n"
 
+    def test_exhaustive_matches_default(self, capsys):
+        default = run(capsys, "tropical", "KP40", "--max-n", "5")
+        exhaustive = run(capsys, "tropical", "KP40", "--max-n", "5", "--exhaustive")
+        assert default[0] == exhaustive[0] == 0
+        assert default[1] == exhaustive[1]
+        assert default[1] == " ".join(str(i) for i in range(40)) + "\n"
+
     def test_default_max_n_below_one_is_named(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("1 0\n0 1\n")
@@ -414,6 +421,7 @@ class TestFuzz:
         weight_path.write_text(weights)
         args = [str(path), "--dim", str(dim)]
         runs = [[command, *args] for command in ("check", "signature", "reduce", "tropical", "entropy")]
+        runs.append(["tropical", *args, "--exhaustive"])
         runs.append(["entropy", *args, "--witness", str(weight_path)])
         runs.append(["dataset", "export", data.draw(st.sampled_from(DATASET_TOKENS))])
         for partition in (data.draw(partitions_of(dim)), data.draw(st.sampled_from(BAD_PARTITIONS))):

@@ -9,6 +9,7 @@ generator, on small instances and slices of M.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, takewhile
 
@@ -24,11 +25,7 @@ from ksrays.orthograph import (
     maximal_cliques,
 )
 from ksrays.rays import Configuration, make_ray
-from ksrays.tropical import (
-    admits_anticlique_section,
-    iter_witnesses,
-    tropical_dimension,
-)
+from ksrays.tropical import admits_anticlique_section, tropical_dimension
 
 
 def _disjoint_unions(masks: list[int], size: int):
@@ -205,63 +202,41 @@ class TestTropicalDimension:
         with pytest.raises(ValueError, match=rf"^max_n must be at least 1, got {max_n}$"):
             tropical_dimension(m_config, max_n)
 
-    def test_small_instance_full_scan(self):
-        # Classic 18-ray, 9-basis contextuality set in dimension 4: the
-        # nine bases admit no independent transversal, every smaller
-        # collection does.
-        cfg = eighteen_ray_config()
-        assert len(maximal_cliques(cfg)) == 9
-        for n in range(1, 9):
-            assert list(iter_witnesses(cfg, n)) == []
-        assert [t for _, t in iter_witnesses(cfg, 9)] == [tuple(range(9))]
+    def test_small_instance_full_scan(self, kp40_config):
+        # Every level of KP40 scanned in full agrees with the default
+        # search: the disjoint walk at level 5, nothing below it.
+        default = tropical_dimension(kp40_config, 5)
+        full = tropical_dimension(kp40_config, 5, sample_per_n=math.inf)
+        assert full is not None and full[0] == 5
+        assert len(full[1]) == 26
+        assert full == default
+        assert tropical_dimension(kp40_config, 4, sample_per_n=math.inf) is None
+
+    def test_level_within_budget_makes_no_draws(self, kp40_config):
+        # KP40's 25 cliques make 25 singletons and 300 pairs: both
+        # levels fit a budget of 300, so neither is sampled.
+        class NoDraws(random.Random):
+            def sample(self, *args, **kwargs):
+                raise AssertionError("a level within the budget was sampled")
+
+        assert len(clique_masks(kp40_config)) == 25
+        assert tropical_dimension(kp40_config, 2, sample_per_n=300, rng=NoDraws()) is None
+
+    @pytest.mark.parametrize("budget", [2000, math.inf])
+    def test_levels_stop_at_the_clique_count(self, budget):
+        # One basis is one clique, so no collection has two cliques and
+        # a huge max_n ends after level 1.
+        basis = Configuration(
+            [make_ray(tuple(int(i == j) for j in range(8))) for i in range(8)]
+        )
+        assert len(clique_masks(basis)) == 1
+        assert tropical_dimension(basis, 10**9, sample_per_n=budget) is None
 
     def test_precondition_on_small_instance(self):
         # The 18-ray set has orthogonal pairs outside every basis, so
         # the dimension search refuses it up front.
         with pytest.raises(ValueError, match="no maximal clique"):
             tropical_dimension(eighteen_ray_config(), 9)
-
-    def test_iter_witnesses_resumes(self):
-        cfg = eighteen_ray_config()
-        full = list(iter_witnesses(cfg, 8)) + list(iter_witnesses(cfg, 9))
-        assert list(iter_witnesses(cfg, 8)) == []
-        nine = list(iter_witnesses(cfg, 9))
-        assert nine == [(0, tuple(range(9)))]
-        assert list(iter_witnesses(cfg, 9, start=1)) == []
-        assert full == nine
-        # Three more rays add five bases: 14 cliques, and 23 witnesses
-        # spread over the 364 eleven-subsets.  The stream resumed at any
-        # position is the suffix of the full stream, and its positions
-        # count every subset from there on.
-        cfg = Configuration(
-            list(cfg.rays)
-            + [make_ray(v) for v in ((1, 0, 0, 0), (0, 0, 1, -1), (0, 1, 1, 0))]
-        )
-        full = list(iter_witnesses(cfg, 11))
-        assert len(full) == 23
-        for k in range(366):
-            seen = []
-            got = list(
-                iter_witnesses(
-                    cfg, 11, start=k, progress=lambda p, t: seen.append(p),
-                    progress_every=1,
-                )
-            )
-            assert got == [w for w in full if w[0] >= k]
-            assert seen == list(range(k, 364))
-
-    def test_progress_callback_reports_positions(self):
-        cfg = eighteen_ray_config()
-        seen = []
-        list(
-            iter_witnesses(
-                cfg, 5, progress=lambda p, t: seen.append((p, t)), progress_every=50
-            )
-        )
-        assert seen
-        positions = [p for p, _ in seen]
-        assert positions == sorted(positions)
-        assert all(t == 126 for _, t in seen)
 
 
 class TestUnionVerdict:
