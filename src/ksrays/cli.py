@@ -53,14 +53,6 @@ def _yes(flag: bool) -> str:
 _SINGLE_DATASETS = tuple(n for n in datasets.DATASET_NAMES if n != "TROPICALS")
 
 
-def _locate_token(text: str, token: str) -> str:
-    for lineno, line in enumerate(text.splitlines(), 1):
-        col = line.find(token)
-        if col >= 0:
-            return f"line {lineno}, column {col + 1}"
-    return "unknown position"
-
-
 def _load_input(name: str, dim: int | None, count: int | None) -> Configuration:
     if name in _SINGLE_DATASETS:
         return datasets.builtin(name)
@@ -76,12 +68,7 @@ def _load_input(name: str, dim: int | None, count: int | None) -> Configuration:
     try:
         return load_vectors(text, dim, count)
     except ValueError as exc:
-        msg = str(exc)
-        # Point at the offending token when the parser names one.
-        if "token" in msg and "'" in msg:
-            token = msg.split("'")[1]
-            msg = f"{msg} ({_locate_token(text, token)})"
-        raise InputError(f"{name}: {msg}") from exc
+        raise InputError(f"{name}: {exc}") from exc
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .rays import Configuration
 from .orthograph import (
     _bits,
+    _clique_mates,
     _complement_rows,
     _gf2_eliminate,
     _gf2_reduce,
@@ -155,10 +156,7 @@ def find_partition_colouring(
         return None
     masks = clique_masks(config)
     selves = [1 << v for v in range(config.n)]
-    mates = list(selves)
-    for mask in masks:
-        for v in _bits(mask):
-            mates[v] |= mask
+    mates = _clique_mates(config)
     classes = [0] * len(part)
 
     def colour(j: int, coloured: int, floor: int) -> bool:

@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 
 from .rays import Configuration, Ray, make_ray
-from .orthograph import _bits, capacity, clique_masks
+from .orthograph import _bits, _inside_cliques, capacity, clique_masks
 
 
 def _vec(text: str) -> tuple[int, ...]:
@@ -367,30 +367,25 @@ class CapacityPipelineReport:
     m_found: bool  # some union at m_capacity equals the 64-ray set
 
 
-def _union_capacity(masks: tuple[int, ...], union: int) -> int:
-    """Capacity of a union of rays: the parent's d-cliques inside it."""
-    return sum(1 for c in masks if c & union == c)
-
-
 def capacity_pipeline() -> CapacityPipelineReport:
     """Reproduce the maximal-capacity search from A and T(A) up to M."""
     a = builtin("A")
     t = build_transform_T()
-    cliques = clique_masks(a)
 
     def pair_unions(sets: list[int], target: int):
-        """Capacities of the disjoint pairs' unions; those at target."""
+        """Capacities of the disjoint pairs' unions: the d-cliques of A
+        inside each; and the unions at target."""
         caps: set[int] = set()
         hits: set[int] = set()
         for s0, s1 in combinations(sets, 2):
             if not s0 & s1:
-                cap = _union_capacity(cliques, s0 | s1)
+                cap = _inside_cliques(a, s0 | s1).bit_count()
                 caps.add(cap)
                 if cap == target:
                     hits.add(s0 | s1)
         return caps, sorted(hits, key=_bits)
 
-    pair_caps, w_masks = pair_unions(cliques, 4)
+    pair_caps, w_masks = pair_unions(clique_masks(a), 4)
     w_pair_caps, q_masks = pair_unions(w_masks, 24)
     w_list = [frozenset(_bits(u)) for u in w_masks]
     q_list = [frozenset(_bits(u)) for u in q_masks]
@@ -407,17 +402,14 @@ def capacity_pipeline() -> CapacityPipelineReport:
     q_idx = [sum(1 << ray_index[a.rays[k]] for k in q) for q in q_list]
     qm_idx = [sum(1 << ray_index[r] for r in qm) for qm in q_mirrors]
 
-    b_cliques = clique_masks(b)
-    m_rays = frozenset(builtin("M").rays)
+    m_idx = sum(1 << ray_index[r] for r in builtin("M").rays)
     caps: dict[tuple[int, int], int] = {}
     m_pair = None
     for i, qi in enumerate(q_idx):
         for j, qj in enumerate(qm_idx):
             union = qi | qj
-            caps[(i, j)] = _union_capacity(b_cliques, union)
-            if m_pair is None and frozenset(
-                b.rays[k] for k in _bits(union)
-            ) == m_rays:
+            caps[(i, j)] = _inside_cliques(b, union).bit_count()
+            if m_pair is None and union == m_idx:
                 m_pair = (i, j)
     histogram: dict[int, int] = {}
     for cap in caps.values():

@@ -4,9 +4,10 @@ The enumeration kernel is an ordered backtracking over index-increasing
 extensions with bitset candidate intersection; anticlique counting reuses
 the same kernel on the complement graph.  One k-clique walker lists the
 d-cliques, the disjoint clique tuples of the tropical top level and the
-Pauli parity tuples.  The d-cliques are cached on each configuration as
-bitmasks and inherited by its restrictions, which find them through the
-per-ray clique-incidence bitsets; the exact-hit search over them finds
+Pauli parity tuples, and checks the Steiner property.  The d-cliques are
+cached on each configuration as bitmasks and inherited by its
+restrictions, which find them through the per-ray clique-incidence
+bitsets (:func:`_inside_cliques`); the exact-hit search over them finds
 anticlique sections, KS colourings and the colour classes of partition
 colourings.
 """
@@ -16,10 +17,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_, rshift
+from functools import reduce
+from itertools import compress, repeat
+from operator import and_, or_, rshift
 
-from .rays import Configuration
+from .rays import Configuration, _bit_flags
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,14 @@ def clique_incidence(config: Configuration) -> tuple[int, ...]:
     return out
 
 
+def _inside_cliques(config: Configuration, keep: int) -> int:
+    """Bitset over clique_masks(config): bit j is set iff clique j lies
+    inside the ray set keep, that is, none of its rays was dropped.  It
+    is the complement of the OR of the dropped rays' incidence bitsets."""
+    dropped = compress(clique_incidence(config), _bit_flags(~keep, config.n))
+    return ~reduce(or_, dropped, 0) & ((1 << len(clique_masks(config))) - 1)
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -206,6 +216,15 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _clique_mates(config: Configuration) -> list[int]:
+    """Per ray, the ray itself and every ray sharing a d-clique with it."""
+    mates = [1 << v for v in range(config.n)]
+    for mask in clique_masks(config):
+        for v in _bits(mask):
+            mates[v] |= mask
+    return mates
 
 
 def maximal_cliques(config: Configuration) -> list[tuple[int, ...]]:
@@ -344,28 +363,18 @@ def steiner_check(config: Configuration) -> bool:
     """True iff every (d-1)-clique lies in exactly one d-clique.
 
     A (d-1)-clique W is contained in as many d-cliques as it has common
-    neighbours, so the check is a popcount on the common neighbourhood.
+    neighbours.  The walker ORs the complements of W's rows, which is
+    the complement of that common neighbourhood, so the check is a
+    popcount.  For d = 1 the one 0-clique lies in every ray, so the
+    check holds iff there is exactly one ray; an empty configuration
+    passes.
     """
-    d = config.dim
-    rows = config.adj
-    ok = True
-
-    def rec(cand: int, common: int, size: int) -> bool:
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            new_common = common & rows[v]
-            if size + 1 == d - 1:
-                if new_common.bit_count() != 1:
-                    return False
-            else:
-                if not rec(cand & rows[v], new_common, size + 1):
-                    return False
-        return True
-
     full = (1 << config.n) - 1
-    return rec(full, full, 0)
+    if not full:
+        return True
+    accs: set[int] = set()
+    _walk_cliques(config.adj, config.dim - 1, [full & ~row for row in config.adj], accs.add)
+    return all((full & ~acc).bit_count() == 1 for acc in accs)
 
 
 def capacity(config: Configuration) -> int:

@@ -19,11 +19,10 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from fractions import Fraction
 from math import lcm
-from operator import mul, or_
+from operator import mul
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -254,7 +253,7 @@ class Configuration:
         d-cliques through none of the dropped rays, and the compression
         keeps their order.  Raises ValueError on an index outside 0..n-1.
         """
-        from .orthograph import clique_incidence, clique_masks
+        from .orthograph import _inside_cliques, clique_masks
 
         idx = sorted(set(indices))
         if idx and (idx[0] < 0 or idx[-1] >= self.n):
@@ -262,9 +261,8 @@ class Configuration:
             raise ValueError(f"ray index {bad} out of range for {self.n} rays")
         keep = sum(1 << i for i in idx)
         masks = clique_masks(self)
-        hit = reduce(or_, compress(clique_incidence(self), _bit_flags(~keep, self.n)), 0)
         words = [self.adj[i] for i in idx]
-        words += compress(masks, _bit_flags(~hit, len(masks)))
+        words += compress(masks, _bit_flags(_inside_cliques(self, keep), len(masks)))
         packed = _compress(words, keep, self.n)
         child = object.__new__(Configuration)
         put = object.__setattr__
@@ -394,7 +392,8 @@ def dump_vectors(config: Configuration) -> str:
 def load_vectors(text: str, dim: int, count: int | None = None) -> Configuration:
     """Parse the flat vector format: count*dim integers, row-major.
 
-    Raises ValueError unless dim >= 1 and count, when given, is >= 0.
+    Raises ValueError unless dim >= 1 and count, when given, is >= 0,
+    and on a bad token, naming its line and column.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -411,8 +410,20 @@ def load_vectors(text: str, dim: int, count: int | None = None) -> Configuration
         raise ValueError(
             f"expected {count * dim} coordinates, found {len(tokens)}"
         )
-    rays = [
-        make_ray(_parse_coord(t) for t in tokens[i * dim : (i + 1) * dim])
-        for i in range(count)
-    ]
+    coords = []
+    for k, token in enumerate(tokens):
+        try:
+            coords.append(_parse_coord(token))
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({_token_position(text, k)})") from exc
+    rays = [make_ray(coords[i * dim : (i + 1) * dim]) for i in range(count)]
     return Configuration(rays)
+
+
+def _token_position(text: str, k: int) -> str:
+    """Line and column, from 1, of the k-th whitespace-separated token."""
+    start = next(islice(re.finditer(r"\S+", text), k, None)).start()
+    # The token's first character is no line break, so the last line of
+    # the head ends with it.
+    head = text[: start + 1].splitlines()
+    return f"line {len(head)}, column {len(head[-1])}"

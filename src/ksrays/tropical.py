@@ -17,9 +17,10 @@ from itertools import combinations
 from .rays import Configuration
 from .orthograph import (
     _bits,
+    _clique_mates,
+    _inside_cliques,
     _section_masks,
     _walk_cliques,
-    clique_incidence,
     clique_masks,
 )
 
@@ -58,10 +59,7 @@ def admits_anticlique_section(
 def _require_covered(config: Configuration) -> None:
     """Raise ValueError unless every orthogonal pair lies in some d-clique,
     the precondition of every tropical-dimension search."""
-    covered = [0] * config.n
-    for mask in clique_masks(config):
-        for v in _bits(mask):
-            covered[v] |= mask
+    covered = _clique_mates(config)
     for i, row in enumerate(config.adj):
         extra = row & ~covered[i]
         if extra:
@@ -128,13 +126,7 @@ def tropical_dimension(
     # below bit shift and its clique indices above.
     shift = config.n
     rays = (1 << shift) - 1
-    incidence = clique_incidence(config)
-    disjoint = []
-    for mask in masks:
-        meets = 0
-        for v in _bits(mask):
-            meets |= incidence[v]
-        disjoint.append(~meets & ((1 << m) - 1))
+    disjoint = [_inside_cliques(config, ~mask) for mask in masks]
     verdicts: dict[int, frozenset[int] | None] = {}
     witnesses = []
 

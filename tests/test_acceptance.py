@@ -265,12 +265,19 @@ def test_capacity_pipeline():
     report = capacity_pipeline()
     assert report.pair_capacities == {2, 4}
     assert len(report.w_sets) == 420
-    assert report.w_pair_capacities <= {8, 16, 24}
+    assert report.w_pair_capacities == {8, 16, 24}
     assert len(report.q_sets) == 70
     assert len(report.q_mirror_sets) == 70
     assert report.capacity_a == 240
+    assert report.union_capacity_histogram == {
+        48: 1152, 80: 1536, 92: 768, 152: 384, 176: 768,
+        228: 32, 288: 168, 320: 12, 416: 48, 588: 32,
+    }
     assert report.m_capacity == 320
-    assert len(report.m_capacity_pairs) == 12
+    assert report.m_capacity_pairs == [
+        (9, 34), (9, 35), (20, 27), (20, 42), (27, 4), (27, 65),
+        (42, 4), (42, 65), (49, 27), (49, 42), (60, 34), (60, 35),
+    ]
     assert report.m_found
 
 

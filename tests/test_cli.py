@@ -56,6 +56,24 @@ class TestCheck:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            # The bad token's text also occurs inside an earlier token.
+            ("(1+2j) 2j)", "'2j)' (line 1, column 8)"),
+            # repr quotes a token holding ' with ".
+            ("0 x'", "\"x'\" (line 1, column 3)"),
+            ("1 0\r\n\r\n  0 oops\n", "'oops' (line 3, column 5)"),
+        ],
+    )
+    def test_bad_token_column(self, capsys, tmp_path, text, where):
+        path = tmp_path / "rays.txt"
+        path.write_text(text, newline="")
+        code, out, err = run(capsys, "check", str(path), "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: bad coordinate token {where}\n"
+
     @pytest.mark.parametrize("text", ["1 1\n2 2\n1 -1\n", "1 1\n1+1j 1+1j\n"])
     def test_parallel_vectors_are_an_error(self, capsys, tmp_path, text):
         path = tmp_path / "rays.txt"

@@ -6,7 +6,9 @@ against brute-force subset enumeration on small configurations.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,9 @@ from ksrays.rays import Configuration, GaussianInt, Ray, make_ray
 from ksrays.orthograph import (
     Signature,
     _bits,
+    _clique_mates,
     _complement_rows,
+    _inside_cliques,
     _section_masks,
     _size_counts,
     _trim,
@@ -286,6 +290,48 @@ class TestCliqueIncidence:
         )
 
 
+class TestCliqueHelpers:
+    """_inside_cliques and _clique_mates against scans of the clique masks."""
+
+    @staticmethod
+    def _configs():
+        import random
+
+        rng = random.Random(23)
+        yield from (builtin(name) for name in ("M", "T0", "B"))
+        for d in (2, 3, 4, 8):
+            n = rng.randint(12, 30)
+            density = {2: 0.2, 3: 0.4, 4: 0.5, 8: 0.85}[d]
+            yield _graph(_random_rows(rng, n, density), d)
+
+    def test_inside_cliques_match_scan(self):
+        import random
+
+        rng = random.Random(5)
+        for config in self._configs():
+            masks = clique_masks(config)
+            full = (1 << config.n) - 1
+            keeps = [0, full, -1] + [~mask for mask in masks[:5]]
+            for _ in range(40):
+                keeps.append(sum(1 << v for v in rng.sample(range(config.n), rng.randint(0, config.n))))
+            for keep in keeps:
+                want = sum(1 << j for j, mask in enumerate(masks) if mask & ~keep == 0)
+                assert _inside_cliques(config, keep) == want, (config.n, keep)
+
+    def test_inside_cliques_of_an_empty_clique_list(self):
+        config = _graph([0] * 5, 3)
+        assert _inside_cliques(config, 0b10110) == 0
+
+    def test_clique_mates_match_or_over_cliques(self):
+        for config in self._configs():
+            masks = clique_masks(config)
+            want = [
+                reduce(or_, (mask for mask in masks if mask >> v & 1), 1 << v)
+                for v in range(config.n)
+            ]
+            assert _clique_mates(config) == want
+
+
 class TestSubconfigurations:
     """Restrictions inherit the parent's clique masks and adjacency; both
     must equal what a configuration built from the same rays computes."""
@@ -327,7 +373,81 @@ class TestSaturation:
         assert ok
 
 
+def _steiner_reference(config: Configuration) -> bool:
+    """Steiner check by a direct walk over the (d-1)-cliques, tracking
+    each one's common neighbourhood.  It never reaches a level for
+    d = 1, so it calls every such graph Steiner."""
+    d = config.dim
+    rows = config.adj
+
+    def rec(cand: int, common: int, size: int) -> bool:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            new_common = common & rows[v]
+            if size + 1 == d - 1:
+                if new_common.bit_count() != 1:
+                    return False
+            elif not rec(cand & rows[v], new_common, size + 1):
+                return False
+        return True
+
+    full = (1 << config.n) - 1
+    return rec(full, full, 0)
+
+
+def _near_steiner_rows(rng, blocks: int, d: int, noise: float) -> list[int]:
+    """Disjoint d-cliques, a Steiner graph, plus random extra edges."""
+    n = blocks * d
+    rows = _random_rows(rng, n, noise)
+    for b in range(blocks):
+        block = ((1 << d) - 1) << (b * d)
+        for v in range(b * d, (b + 1) * d):
+            rows[v] |= block & ~(1 << v)
+    return rows
+
+
 class TestSteinerAndIntersections:
+    @pytest.mark.parametrize("name", ["M", "N", "T0", "KP40", "KP36", "E8", "A", "B"])
+    def test_builtins_match_reference(self, name):
+        config = builtin(name)
+        assert steiner_check(config) == _steiner_reference(config)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_graphs_match_reference(self, d):
+        import random
+
+        rng = random.Random(40 + d)
+        verdicts = []
+        for trial in range(30):
+            if trial % 2:
+                n = rng.randint(8, 24)
+                rows = _random_rows(rng, n, {2: 0.1, 3: 0.3, 4: 0.5, 8: 0.85}[d])
+            else:
+                blocks = rng.randint(1, 24 // d + 1)
+                rows = _near_steiner_rows(rng, blocks, d, rng.choice([0.0, 0.02, 0.1]))
+            config = _graph(rows, d)
+            subs = [config] + [
+                config.restrict(rng.sample(range(config.n), rng.randint(1, config.n)))
+                for _ in range(3)
+            ]
+            for sub in subs:
+                got = steiner_check(sub)
+                assert got == _steiner_reference(sub), (d, trial)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    def test_one_ray_graphs(self):
+        # The one 0-clique lies in every 1-clique, so only n = 1 passes;
+        # the reference walk calls every d = 1 graph Steiner.
+        assert steiner_check(_graph([0], 1))
+        assert not steiner_check(_graph([0, 0, 0], 1))
+        assert _steiner_reference(_graph([0, 0, 0], 1))
+
+    def test_empty_configuration(self):
+        assert steiner_check(Configuration([]))
+
     def test_steiner_property_of_m(self, m_config):
         # Every 7-clique inside M extends to exactly one full octuple.
         assert steiner_check(m_config)
