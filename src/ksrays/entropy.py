@@ -81,19 +81,27 @@ def validate_probability_weight(config: Configuration, f: ProbabilityWeight) -> 
 
 
 def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques) -> bool:
+    """Every value in [0, 1] and every clique sum 1: in rational mode
+    exactly, as integer numerators over the common denominator."""
     if len(f.values) != config.n:
         raise ValueError("weight is not total on the configuration")
-    if any(v < 0 or v > 1 for v in f.values):
+    if any(not 0 <= v <= 1 for v in f.values):  # also rejects NaN
         return False
-    exact = f.exact
-    for clique in cliques:
-        s = sum(f.values[v] for v in clique)
-        if exact:
-            if s != 1:
-                return False
-        elif abs(float(s) - 1.0) > CLIQUE_SUM_TOL:
-            return False
-    return True
+    if f.exact:
+        gamma, qs = _numerators(f.values)
+        return all(sum([qs[v] for v in clique]) == gamma for clique in cliques)
+    values = f.values
+    return all(
+        abs(float(sum(values[v] for v in clique)) - 1.0) <= CLIQUE_SUM_TOL
+        for clique in cliques
+    )
+
+
+def _numerators(values) -> tuple[int, list[int]]:
+    """(gamma, q): the least common denominator of the Fractions and
+    each value's numerator over it."""
+    gamma = math.lcm(*(v.denominator for v in values))
+    return gamma, [v.numerator * (gamma // v.denominator) for v in values]
 
 
 def entropy_report(config: Configuration, f: ProbabilityWeight) -> EntropyReport:
@@ -112,7 +120,8 @@ def _report(config: Configuration, f: ProbabilityWeight) -> EntropyReport:
     if not _sums_to_one(config, f, cliques):
         raise InvalidWeightError("not a valid probability weight")
     # Summing negated terms keeps a zero entropy at +0.0.
-    per = {c: sum(-_xlogx(float(f.values[v])) for v in c) for c in cliques}
+    terms = [-_xlogx(float(v)) for v in f.values]
+    per = {c: sum(terms[v] for v in c) for c in cliques}
     if f.exact:
         equi = _equal_entropies(f.values, cliques)
     else:
@@ -137,8 +146,7 @@ def _equal_entropies(values, cliques) -> bool:
     cliques have equal entropy iff their integer vectors of sum of
     q * v_b(q) over base elements b are equal.
     """
-    gamma = math.lcm(*(v.denominator for v in values))
-    qs = [int(v * gamma) for v in values]
+    _, qs = _numerators(values)
     base = _coprime_base(qs)
     terms = {q: [q * _valuation(q, b) for b in base] for q in set(qs)}
     sums = {tuple(map(sum, zip(*(terms[qs[v]] for v in clique)))) for clique in cliques}
@@ -199,17 +207,14 @@ def weight_spec(config: Configuration, f: ProbabilityWeight) -> WeightSpec:
     if not f.exact:
         raise ValueError("weight spec requires a rational weight")
     distinct = sorted(set(f.values))
-    gamma = 1
-    for v in distinct:
-        gamma = gamma * v.denominator // math.gcd(gamma, v.denominator)
-    nums = tuple(int(v * gamma) for v in distinct)
+    gamma, nums = _numerators(distinct)
     mult: dict[tuple[int, ...], tuple[int, ...]] = {}
     for clique in maximal_cliques(config):
         counts = [0] * len(distinct)
         for v in clique:
             counts[distinct.index(f.values[v])] += 1
         mult[clique] = tuple(counts)
-    return WeightSpec(tuple(distinct), nums, gamma, mult)
+    return WeightSpec(tuple(distinct), tuple(nums), gamma, mult)
 
 
 def minimize_entropy(config: Configuration) -> EntropyReport:

@@ -9,7 +9,8 @@ cached on each configuration as bitmasks and inherited by its
 restrictions, which find them through the per-ray clique-incidence
 bitsets (:func:`_inside_cliques`); the exact-hit search over them finds
 anticlique sections, KS colourings and the colour classes of partition
-colourings.
+colourings.  Saturation is decided by a pivoting Bron–Kerbosch walk over
+the maximal cliques.
 """
 
 from __future__ import annotations
@@ -328,35 +329,43 @@ def is_saturated(config: Configuration):
 
     Returns (True, None) or (False, witness) where the witness is a
     non-extendable clique of size < d (maximal in the graph-theoretic
-    sense).
+    sense), as sorted indices.
+
+    Saturation means no maximal clique has fewer than d rays, so this is
+    a Bron–Kerbosch walk over the maximal cliques (CACM 1973) that stops
+    at the first small one.  A node holds the clique R, the candidates P
+    and the excluded rays X, whose union is R's common neighbourhood.
+    It branches only on the candidates outside one pivot's neighbourhood
+    (Tomita, Tanaka & Takahashi, TCS 2006); the pivot is the lowest ray
+    of X, or of P when X is empty, which measured faster here than the
+    pivot with the most neighbours in P.  A node is entered only while
+    |R| + 1 < d: every maximal clique through a node with candidates left
+    has more rays than R.
     """
     d = config.dim
     rows = config.adj
-    full = (1 << config.n) - 1
-    stack: list[int] = []
-    witness: list[tuple[int, ...]] = []
+    witness: list[int] = []
 
-    def rec(cand: int, common: int) -> bool:
-        # common = common neighbourhood of the current clique over all
-        # indices; cand = index-increasing part of it.
+    def rec(clique: int, size: int, p: int, x: int) -> bool:
+        pivot = x or p
+        cand = p & ~rows[(pivot & -pivot).bit_length() - 1]
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
             cand ^= low
-            stack.append(v)
-            new_common = common & rows[v]
-            if new_common == 0 and len(stack) < d:
-                witness.append(tuple(stack))
-                stack.pop()
+            row = rows[low.bit_length() - 1]
+            if p & row:
+                if size + 2 < d and not rec(clique | low, size + 1, p & row, x & row):
+                    return False
+            elif not x & row:
+                witness.append(clique | low)
                 return False
-            if not rec(cand & rows[v], new_common):
-                stack.pop()
-                return False
-            stack.pop()
+            p ^= low
+            x |= low
         return True
 
-    ok = rec(full, full)
-    return (True, None) if ok else (False, witness[0])
+    if config.n and d > 1 and not rec(0, 0, (1 << config.n) - 1, 0):
+        return False, _bits(witness[0])
+    return True, None
 
 
 def steiner_check(config: Configuration) -> bool:

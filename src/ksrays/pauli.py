@@ -9,6 +9,7 @@ significant bit of the 2^n-dimensional index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .orthograph import _bits, _gf2_eliminate, _gf2_reduce, _walk_cliques
@@ -65,8 +66,10 @@ def word_from_index(alpha: int, n_qubits: int) -> PauliWord:
     )
 
 
+@cache
 def _xz(w: PauliWord) -> tuple[int, int]:
-    """(x, z) with w = +Z^z X^x exactly, since Y = ZX; bit k is qubit k."""
+    """(x, z) with w = +Z^z X^x exactly, since Y = ZX; bit k is qubit k.
+    Cached: words are frozen, and proofs reuse a few of them."""
     x = z = 0
     for k, c in enumerate(w.codes):
         x |= (c in (1, 2)) << k
@@ -90,9 +93,9 @@ def _product_sign(pairs) -> int | None:
 
 
 def _xz_all(words) -> list[tuple[int, int]]:
-    if len({w.n_qubits for w in words}) > 1:
+    if len({len(w.codes) for w in words}) > 1:
         raise ValueError("qubit count mismatch")
-    return [_xz(w) for w in words]
+    return list(map(_xz, words))
 
 
 def pauli_mul(a: SignedWord, b: SignedWord) -> SignedWord:
@@ -237,25 +240,38 @@ class SignedHypergraph:
 def verify_parity_proof(h: SignedHypergraph) -> bool:
     """Odd number of negative edges and even degree at every vertex.
 
-    Edge signs are recomputed from the word products; a mismatch raises.
+    Edge signs are recomputed from the word products; a mismatch raises,
+    and so do non-commuting members and members that index no vertex.
+    One pass per edge checks each member against the members before it,
+    folds it into the product as :func:`_product_sign` does, and flips
+    its bit in a mask of the odd-degree vertices.
     """
     pairs = _xz_all(h.vertices)
-    degree = [0] * len(pairs)
-    negatives = 0
+    n = len(pairs)
+    odd = negatives = 0
     for members, sign in h.edges:
-        ps = [pairs[i] for i in members]
-        if not all(_commute(a, b) for a, b in combinations(ps, 2)):
-            raise ValueError("edge contains non-commuting words")
-        true_sign = _product_sign(ps)
+        x = z = flips = 0
+        seen = []
+        for i in members:
+            if not 0 <= i < n:
+                raise ValueError(f"edge member {i} is not a vertex index in 0..{n - 1}")
+            pair = xi, zi = pairs[i]
+            for xj, zj in seen:
+                if ((xj & zi) ^ (zj & xi)).bit_count() & 1:
+                    raise ValueError("edge contains non-commuting words")
+            seen.append(pair)
+            flips += (x & zi).bit_count()
+            x ^= xi
+            z ^= zi
+            odd ^= 1 << i
+        true_sign = None if x or z else 1 - 2 * (flips & 1)
         if true_sign is None or true_sign != sign:
             raise ValueError(
                 f"edge sign mismatch: recorded {sign}, product gives {true_sign}"
             )
         if sign < 0:
             negatives += 1
-        for i in members:
-            degree[i] += 1
-    return negatives % 2 == 1 and all(d % 2 == 0 for d in degree)
+    return negatives % 2 == 1 and not odd
 
 
 def four_edges(vertices) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

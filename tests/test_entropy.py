@@ -13,14 +13,17 @@ from hypothesis import given, settings, strategies as st
 from ksrays import builtin
 from ksrays.colouring import find_partition_colouring
 from ksrays.entropy import (
+    InvalidWeightError,
     ProbabilityWeight,
     _coprime_base,
+    _sums_to_one,
     entropy_report,
     minimize_entropy,
     validate_probability_weight,
     weight_from_partition_colouring,
     weight_spec,
 )
+from ksrays.orthograph import maximal_cliques
 from ksrays.rays import Configuration, make_ray
 
 
@@ -61,6 +64,73 @@ class TestValidation:
         w = ProbabilityWeight(tuple(0.125 for _ in range(m_config.n)))
         assert not w.exact
         assert validate_probability_weight(m_config, w)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, m_config, bad):
+        one_bad = [0.125] * m_config.n
+        one_bad[5] = bad
+        for values in ((bad,) * m_config.n, tuple(one_bad)):
+            w = ProbabilityWeight(values)
+            assert not validate_probability_weight(m_config, w)
+            with pytest.raises(InvalidWeightError):
+                entropy_report(m_config, w)
+
+
+class TestIntegerCliqueSums:
+    """The rational clique sums, taken as integer numerators over the
+    common denominator, against sums of Fractions."""
+
+    @staticmethod
+    def _fraction_verdict(values, cliques) -> bool:
+        return all(0 <= v <= 1 for v in values) and all(
+            sum(values[v] for v in clique) == 1 for clique in cliques
+        )
+
+    @pytest.mark.parametrize("name, seed", [("M", 41), ("E8", 42)])
+    def test_match_fraction_sums(self, name, seed):
+        # Mixtures of the uniform weight and a (4,4) colouring's weights
+        # are valid; then one ray is nudged, or every value is random.
+        import random
+
+        rng = random.Random(seed)
+        config = builtin(name)
+        cliques = maximal_cliques(config)
+        col = find_partition_colouring(config, (4, 4))
+        verdicts = set()
+        for trial in range(12):
+            w0 = Fraction(rng.randint(0, 60), 4 * rng.randint(60, 97))
+            t = Fraction(rng.randint(0, 10), 10)
+            values = [
+                t / 8 + (1 - t) * (w0, Fraction(1, 4) - w0)[c] for c in col.values
+            ]
+            if trial % 3 == 1:
+                values[rng.randrange(config.n)] += Fraction(rng.choice((-1, 1)), 997)
+            elif trial % 3 == 2:
+                values = [Fraction(rng.randint(0, 9), 36) for _ in values]
+            got = _sums_to_one(config, ProbabilityWeight(tuple(values)), cliques)
+            assert got == self._fraction_verdict(values, cliques)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", ["M", "E8"])
+    def test_one_clique_off_by_one_over_gamma(self, name):
+        # Raise one ray by 1/gamma and keep one clique through it: that
+        # clique alone sums to 1 + 1/gamma.
+        config = builtin(name)
+        cliques = maximal_cliques(config)
+        col = find_partition_colouring(config, (4, 4))
+        values = [(Fraction(1, 40), Fraction(9, 40))[c] for c in col.values]
+        gamma = math.lcm(*(v.denominator for v in values))
+        assert _sums_to_one(config, ProbabilityWeight(tuple(values)), cliques)
+        ray = cliques[0][0]
+        values[ray] += Fraction(1, gamma)
+        w = ProbabilityWeight(tuple(values))
+        others = [c for c in cliques if ray not in c]
+        assert _sums_to_one(config, w, others)
+        assert not _sums_to_one(config, w, [cliques[0]] + others)
+        assert not self._fraction_verdict(values, [cliques[0]])
+        assert not validate_probability_weight(config, w)
 
 
 class TestEntropyReport:

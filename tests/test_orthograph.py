@@ -373,6 +373,102 @@ class TestSaturation:
         assert ok
 
 
+def _saturated_reference(config: Configuration):
+    """Saturation by a walk over every clique in index order, tracking
+    its common neighbourhood; the witness is the first clique of size
+    < d, in that order, whose common neighbourhood is empty."""
+    d = config.dim
+    rows = config.adj
+    full = (1 << config.n) - 1
+    stack: list[int] = []
+    witness: list[tuple[int, ...]] = []
+
+    def rec(cand: int, common: int) -> bool:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            stack.append(v)
+            new_common = common & rows[v]
+            if new_common == 0 and len(stack) < d:
+                witness.append(tuple(stack))
+                stack.pop()
+                return False
+            if not rec(cand & rows[v], new_common):
+                stack.pop()
+                return False
+            stack.pop()
+        return True
+
+    ok = rec(full, full)
+    return (True, None) if ok else (False, witness[0])
+
+
+class TestSaturationOracle:
+    """is_saturated's pivoting walk against the walk over every clique.
+    The witnesses may differ; each must be a maximal clique of size < d."""
+
+    @staticmethod
+    def _check(config: Configuration) -> bool:
+        ok, witness = is_saturated(config)
+        assert ok == _saturated_reference(config)[0]
+        if ok:
+            assert witness is None
+        else:
+            assert witness == tuple(sorted(set(witness)))
+            assert 0 < len(witness) < config.dim
+            common = (1 << config.n) - 1
+            for v in witness:
+                common &= config.adj[v]
+            for a, b in combinations(witness, 2):
+                assert config.adj[a] >> b & 1
+            assert common == 0
+        return ok
+
+    @pytest.mark.parametrize("name", ["M", "N", "T0", "KP40", "KP36", "E8", "A", "B"])
+    def test_builtins_match_reference(self, name):
+        self._check(builtin(name))
+
+    @pytest.mark.parametrize("name", ["M", "T0", "E8"])
+    def test_seeded_restrictions_match_reference(self, name):
+        # Even draws keep a random half or more of the rays, odd draws
+        # the union of a few cliques, so both verdicts occur.
+        import random
+
+        rng = random.Random({"M": 71, "T0": 72, "E8": 73}[name])
+        config = builtin(name)
+        masks = clique_masks(config)
+        verdicts = set()
+        for draw in range(20):
+            if draw % 2:
+                keep = reduce(or_, rng.sample(masks, rng.randint(1, 3)))
+                sub = config.restrict(_bits(keep))
+            else:
+                sub = config.restrict(rng.sample(range(config.n), rng.randint(config.n // 2, config.n)))
+            verdicts.add(self._check(sub))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_graphs_match_reference(self, d):
+        import random
+
+        rng = random.Random(60 + d)
+        verdicts = set()
+        for trial in range(30):
+            if trial % 3:
+                n = rng.randint(4, 28)
+                rows = _random_rows(rng, n, {2: 0.15, 3: 0.35, 4: 0.5, 8: 0.85}[d])
+            else:
+                blocks = rng.randint(1, 24 // d + 1)
+                rows = _near_steiner_rows(rng, blocks, d, rng.choice([0.0, 0.02]))
+            verdicts.add(self._check(_graph(rows, d)))
+        assert verdicts == {True, False}
+
+    def test_empty_configuration(self):
+        assert is_saturated(Configuration([])) == (True, None)
+        assert _saturated_reference(Configuration([])) == (True, None)
+
+
 def _steiner_reference(config: Configuration) -> bool:
     """Steiner check by a direct walk over the (d-1)-cliques, tracking
     each one's common neighbourhood.  It never reaches a level for

@@ -386,6 +386,58 @@ class TestParityProofs:
         with pytest.raises(ValueError, match="non-commuting"):
             verify_parity_proof(bad)
 
+    def test_every_mined_proof_verifies(self):
+        proofs, _ = mine_parity_proofs(SATURATED_WORDS)
+        assert len(proofs) == 512
+        assert all(verify_parity_proof(p) for p in proofs)
+
+    def test_dropping_any_edge_fails(self):
+        proof = eight_edge_proof()
+        for k in range(len(proof.edges)):
+            edges = proof.edges[:k] + proof.edges[k + 1 :]
+            assert not verify_parity_proof(SignedHypergraph(proof.vertices, edges))
+
+    def test_verdicts_match_degree_count_reference(self):
+        # Mined proofs with seeded edits: drop an edge, add a 4-edge once
+        # (odd degrees) or twice (still a proof).  The odd-degree mask
+        # and sign count against per-vertex degree counts.
+        proofs, _ = mine_parity_proofs(SATURATED_WORDS)
+        neg, pos = four_edges(SATURATED_WORDS)
+        rng = random.Random(24)
+        verdicts = set()
+        for _ in range(200):
+            edges = list(rng.choice(proofs).edges)
+            for _ in range(rng.randint(0, 3)):
+                edit = rng.randrange(3)
+                if edit == 0 and edges:
+                    edges.pop(rng.randrange(len(edges)))
+                else:
+                    sign = rng.choice((-1, 1))
+                    edge = (rng.choice(neg if sign < 0 else pos), sign)
+                    edges += [edge] * edit
+            degree = [0] * len(SATURATED_WORDS)
+            for members, _ in edges:
+                for i in members:
+                    degree[i] += 1
+            negatives = sum(sign < 0 for _, sign in edges)
+            want = negatives % 2 == 1 and all(d % 2 == 0 for d in degree)
+            got = verify_parity_proof(SignedHypergraph(SATURATED_WORDS, tuple(edges)))
+            assert got == want
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_members_outside_the_vertices_rejected(self):
+        proof = eight_edge_proof()
+        assert len(proof.vertices) == 15
+        # Negative indices counted from the end used to name vertices.
+        shifted = tuple((tuple(i - 15 for i in members), sign) for members, sign in proof.edges)
+        with pytest.raises(ValueError, match="vertex index"):
+            verify_parity_proof(SignedHypergraph(proof.vertices, shifted))
+        members, sign = proof.edges[0]
+        past_end = (((15,) + members[1:], sign),) + proof.edges[1:]
+        with pytest.raises(ValueError, match="vertex index"):
+            verify_parity_proof(SignedHypergraph(proof.vertices, past_end))
+
     def test_four_edges_match_combinations_reference(self):
         assert four_edges(SATURATED_WORDS) == ref_four_edges(SATURATED_WORDS)
         rng = random.Random(12)
