@@ -1,11 +1,14 @@
 """Built-in construction of every configuration used in the analysis.
 
+Each built-in has one definition, taken from the object it comes from.
 The 64-ray saturated configuration M is stored as a literal vector
-table; its subconfigurations (the critical 36-ray set, the tropical
-48-ray sets) are stored as index sets into M so the vectors live once.
+table; its subconfigurations (the critical 36-ray set N, the 32 tropical
+48-ray sets, T0 the first of them) are index sets into M, restricted
+from it.  KP36 is KP40 restricted to all but the four excluded rays.
 The 120-ray E8 configuration and its 64-ray full-support part A are
-generated from their shape rules; B = A union T(A) for the orthogonal
-map T defined by eight basis assignments.
+generated from their shape rules.  B is A followed by T(A), for the
+orthogonal map T defined by eight basis assignments: ray k is A's ray k
+and ray 64 + k is its image, the layout the capacity pipeline reads.
 """
 
 from __future__ import annotations
@@ -100,13 +103,6 @@ M_VECTORS = tuple(
 N_INDICES = (
     2, 3, 4, 9, 12, 13, 14, 15, 16, 19, 21, 23, 24, 25, 26, 27, 29, 30,
     32, 33, 34, 37, 39, 40, 41, 43, 46, 48, 51, 52, 55, 58, 59, 60, 61, 62,
-)
-
-#: Index set of the tropical 48-ray subconfiguration T0 of M.
-T0_INDICES = (
-    0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 16, 19, 20, 21,
-    22, 23, 24, 25, 26, 27, 29, 30, 32, 33, 34, 37, 38, 39, 40, 41,
-    43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 57, 58, 59, 60, 61, 62,
 )
 
 #: The colour-class index sets of the (6,2) and (4,4) colourings of M.
@@ -221,6 +217,9 @@ TROPICAL_INDEX_SETS = (
     (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 57, 59, 60, 62, 63),
 )
 
+#: Index set of the tropical 48-ray subconfiguration T0 of M.
+T0_INDICES = TROPICAL_INDEX_SETS[0]
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -309,44 +308,42 @@ def _e8_two_support() -> list[Ray]:
     return out
 
 
+def _build_b() -> Configuration:
+    """B = A followed by T(A): ray k is A's ray k and ray 64 + k is its
+    image T(A[k]).  The constructor's duplicate check makes the two
+    halves disjoint; :func:`capacity_pipeline` reads this layout."""
+    a = builtin("A").rays
+    t = build_transform_T()
+    return Configuration(a + tuple(t.apply_ray(r) for r in a))
+
+
+#: Builder of each built-in configuration, by name.
+_BUILDERS = {
+    "M": lambda: Configuration([make_ray(v) for v in M_VECTORS]),
+    "N": lambda: builtin("M").restrict(N_INDICES),
+    "T0": lambda: builtin("M").restrict(T0_INDICES),
+    "TROPICALS": lambda: tuple(map(builtin("M").restrict, TROPICAL_INDEX_SETS)),
+    "KP40": lambda: Configuration([make_ray(v) for v in KP_VECTORS]),
+    "KP36": lambda: builtin("KP40").restrict(
+        i for i in range(len(KP_VECTORS)) if i not in KP_EXCLUDED
+    ),
+    "E8": lambda: Configuration(_e8_full_support() + _e8_two_support()),
+    "A": lambda: Configuration(_e8_full_support()),
+    "B": _build_b,
+}
+
+DATASET_NAMES = tuple(_BUILDERS)
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str):
-    """A built-in configuration by name.
-
-    Names: M, N, T0, TROPICALS (tuple of 32), KP40, KP36, E8, A, B.
-    """
-    key = name.upper()
-    if key == "M":
-        return Configuration([make_ray(v) for v in M_VECTORS])
-    if key == "N":
-        return builtin("M").restrict(N_INDICES)
-    if key == "T0":
-        return builtin("M").restrict(T0_INDICES)
-    if key == "TROPICALS":
-        m = builtin("M")
-        return tuple(m.restrict(idx) for idx in TROPICAL_INDEX_SETS)
-    if key == "KP40":
-        return Configuration([make_ray(v) for v in KP_VECTORS])
-    if key == "KP36":
-        return Configuration(
-            [
-                make_ray(v)
-                for i, v in enumerate(KP_VECTORS)
-                if i not in KP_EXCLUDED
-            ]
-        )
-    if key == "E8":
-        return Configuration(_e8_full_support() + _e8_two_support())
-    if key == "A":
-        return Configuration(_e8_full_support())
-    if key == "B":
-        t = build_transform_T()
-        rays = _e8_full_support()
-        return Configuration(dict.fromkeys(rays + [t.apply_ray(r) for r in rays]))
-    raise ValueError(f"unknown dataset {name!r}")
-
-
-DATASET_NAMES = ("M", "N", "T0", "TROPICALS", "KP40", "KP36", "E8", "A", "B")
+    """The built-in configuration of a name in DATASET_NAMES, any case;
+    TROPICALS is the tuple of the 32 tropical sets."""
+    try:
+        build = _BUILDERS[name.upper()]
+    except KeyError:
+        raise ValueError(f"unknown dataset {name!r}") from None
+    return build()
 
 
 # --- maximal-capacity pipeline -----------------------------------------
@@ -370,7 +367,6 @@ class CapacityPipelineReport:
 def capacity_pipeline() -> CapacityPipelineReport:
     """Reproduce the maximal-capacity search from A and T(A) up to M."""
     a = builtin("A")
-    t = build_transform_T()
 
     def pair_unions(sets: list[int], target: int):
         """Capacities of the disjoint pairs' unions: the d-cliques of A
@@ -390,24 +386,19 @@ def capacity_pipeline() -> CapacityPipelineReport:
     w_list = [frozenset(_bits(u)) for u in w_masks]
     q_list = [frozenset(_bits(u)) for u in q_masks]
 
-    # Mirror the Q sets through T into T(A), mapping each ray of A once.
-    images = [t.apply_ray(r) for r in a.rays]
-    q_mirrors = [frozenset(images[i] for i in q) for q in q_list]
-
     cap_a = capacity(a)
 
-    # Pair search runs inside B = A union T(A), where both halves embed.
+    # The pair search runs inside B, where a Q set keeps its mask and its
+    # mirror in T(A) is the mask shifted by 64 (see _build_b).
     b = builtin("B")
+    q_mirrors = [frozenset(b.rays[a.n + k] for k in q) for q in q_list]
     ray_index = {r: i for i, r in enumerate(b.rays)}
-    q_idx = [sum(1 << ray_index[a.rays[k]] for k in q) for q in q_list]
-    qm_idx = [sum(1 << ray_index[r] for r in qm) for qm in q_mirrors]
-
     m_idx = sum(1 << ray_index[r] for r in builtin("M").rays)
     caps: dict[tuple[int, int], int] = {}
     m_pair = None
-    for i, qi in enumerate(q_idx):
-        for j, qj in enumerate(qm_idx):
-            union = qi | qj
+    for i, qi in enumerate(q_masks):
+        for j, qj in enumerate(q_masks):
+            union = qi | qj << a.n
             caps[(i, j)] = _inside_cliques(b, union).bit_count()
             if m_pair is None and union == m_idx:
                 m_pair = (i, j)

@@ -27,13 +27,13 @@ CLIQUE_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProbabilityWeight:
-    """Per-ray values; exact-rational mode iff all values are Fractions."""
+    """Per-ray values; exact-rational mode iff all values are Fractions or ints."""
 
     values: tuple
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.values)
+        return all(isinstance(v, (Fraction, int)) for v in self.values)
 
 
 @dataclass
@@ -98,7 +98,7 @@ def _sums_to_one(config: Configuration, f: ProbabilityWeight, cliques) -> bool:
 
 
 def _numerators(values) -> tuple[int, list[int]]:
-    """(gamma, q): the least common denominator of the Fractions and
+    """(gamma, q): the least common denominator of the rationals and
     each value's numerator over it."""
     gamma = math.lcm(*(v.denominator for v in values))
     return gamma, [v.numerator * (gamma // v.denominator) for v in values]
@@ -206,7 +206,7 @@ def weight_spec(config: Configuration, f: ProbabilityWeight) -> WeightSpec:
     """Mixed-colour form of a rational weight: values q_i / gamma, minimal gamma."""
     if not f.exact:
         raise ValueError("weight spec requires a rational weight")
-    distinct = sorted(set(f.values))
+    distinct = sorted(set(map(Fraction, f.values)))
     gamma, nums = _numerators(distinct)
     mult: dict[tuple[int, ...], tuple[int, ...]] = {}
     for clique in maximal_cliques(config):

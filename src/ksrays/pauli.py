@@ -345,14 +345,9 @@ OPERATOR_LINES = tuple(
     )
 )
 
-#: The 26 distinct words appearing in OPERATOR_LINES.
+#: The 26 distinct words of OPERATOR_LINES, in increasing index order.
 SATURATED_WORDS = tuple(
-    word(t)
-    for t in (
-        "XII IXI XXI ZXI YYI XZI ZIX IXX XXX "
-        "ZXX YYX ZZX YIY YXY IYY XYY ZYY YZY "
-        "IIZ XIZ IXZ XXZ ZXZ YYZ IZZ XZZ"
-    ).split()
+    sorted({w for line in OPERATOR_LINES for w in line}, key=lambda w: w.index)
 )
 
 #: The eight-edge hypergraph proof over 15 of the 26 words: seven

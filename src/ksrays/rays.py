@@ -343,12 +343,6 @@ def _compress(words: list[int], keep: int, n: int) -> tuple[int, ...]:
 
 # --- vector file format -------------------------------------------------
 
-def _format_coord(c: GaussianInt) -> str:
-    if c.im == 0:
-        return str(c.re)
-    return f"{c.re}{c.im:+d}j"
-
-
 #: Integer-literal Gaussian tokens: "bj", "a+bj", "a-bj", optionally in
 #: parentheses.  These parse exactly through int().
 _GAUSSIAN_TOKEN = re.compile(
@@ -378,14 +372,8 @@ def _parse_coord(token: str) -> GaussianInt:
 
 
 def dump_vectors(config: Configuration) -> str:
-    """Serialize as n*d whitespace-separated coordinate tokens."""
-    tokens = [
-        _format_coord(c) for ray in config.rays for c in ray.coords
-    ]
-    lines = []
-    d = config.dim
-    for i in range(config.n):
-        lines.append(" ".join(tokens[i * d : (i + 1) * d]))
+    """Serialize as n*d whitespace-separated coordinate tokens, d a line."""
+    lines = [" ".join(map(repr, ray.coords)) for ray in config.rays]
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,7 @@ from ksrays import builtin
 from ksrays.datasets import (
     DATASET_NAMES,
     KP_EXCLUDED,
+    KP_VECTORS,
     M_VECTORS,
     N_INDICES,
     PARTITION_44_ONES,
@@ -21,7 +22,7 @@ from ksrays.datasets import (
     build_transform_T,
 )
 from ksrays.orthograph import maximal_cliques
-from ksrays.rays import make_ray
+from ksrays.rays import Configuration, make_ray
 
 
 class TestCardinalities:
@@ -73,6 +74,12 @@ class TestIndexSets:
         kp40, kp36 = builtin("KP40"), builtin("KP36")
         kept = [r for i, r in enumerate(kp40.rays) if i not in KP_EXCLUDED]
         assert set(kp36.rays) == set(kept)
+        # The restriction matches a configuration built from the kept vectors.
+        ref = Configuration(
+            [make_ray(v) for i, v in enumerate(KP_VECTORS) if i not in KP_EXCLUDED]
+        )
+        assert kp36.rays == ref.rays
+        assert kp36.adj == ref.adj
 
     def test_subconfigurations_share_rays_with_m(self):
         m = builtin("M")
@@ -156,6 +163,9 @@ class TestE8Family:
         image = {t.apply_ray(r) for r in a.rays}
         assert set(b.rays) == set(a.rays) | image
         assert len(set(a.rays) & image) == 0
+        # B is A followed by T(A): ray 64 + k is the image of A's ray k.
+        assert b.rays[: a.n] == a.rays
+        assert b.rays[a.n :] == tuple(t.apply_ray(r) for r in a.rays)
 
     def test_m_vectors_are_plus_minus_one_or_zero(self):
         for vec in M_VECTORS:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksrays import builtin
 from ksrays.colouring import find_partition_colouring
+from ksrays.datasets import PARTITION_62_ONES
 from ksrays.entropy import (
     InvalidWeightError,
     ProbabilityWeight,
@@ -252,6 +253,19 @@ class TestPartitionWeights:
         assert spec.numerators == (1, 3)
         for counts in spec.clique_multiplicities.values():
             assert counts == (6, 2)
+
+
+    def test_int_values_are_exact(self, m_config):
+        # Weight 1/2 on the (6,2) class and the int 0 elsewhere is rational.
+        w = ProbabilityWeight(
+            tuple(Fraction(1, 2) if v in PARTITION_62_ONES else 0 for v in range(64))
+        )
+        assert w.exact
+        assert entropy_report(m_config, w).equientropic
+        spec = weight_spec(m_config, w)
+        assert spec.values == (Fraction(0), Fraction(1, 2))
+        assert all(type(v) is Fraction for v in spec.values)
+        assert (spec.gamma, spec.numerators) == (2, (0, 1))
 
 
 class TestMinimizeEntropy:

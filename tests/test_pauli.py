@@ -319,6 +319,12 @@ class TestParityTuples:
         for line in OPERATOR_LINES:
             assert frozenset(line) in tuples
 
+    def test_saturated_words_are_the_operator_line_words(self):
+        indices = [w.index for w in SATURATED_WORDS]
+        assert len(SATURATED_WORDS) == 26
+        assert indices == sorted(set(indices))
+        assert set(SATURATED_WORDS) == {w for line in OPERATOR_LINES for w in line}
+
 
 class TestEigenrays:
     def test_line_produces_orthonormal_octuple(self, m_config):

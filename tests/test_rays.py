@@ -342,6 +342,11 @@ class TestVectorFormat:
         assert "0+1j" in text
         assert load_vectors(text, 2) == config
 
+    def test_dump_writes_each_coordinate_as_its_repr(self):
+        config = Configuration([make_ray([1, 1j]), make_ray([1, -1 + 1j])])
+        assert dump_vectors(config) == "1 0+1j\n1 -1+1j\n"
+        assert dump_vectors(Configuration([])) == "\n"
+
     @pytest.mark.parametrize(
         "text, dim, rows",
         [
