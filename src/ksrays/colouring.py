@@ -24,7 +24,6 @@ from .orthograph import (
     _section_masks,
     _size_counts,
     clique_masks,
-    maximal_cliques,
 )
 
 
@@ -112,16 +111,17 @@ def verify_partition_colouring(config: Configuration, colouring: Colouring) -> b
     if len(colouring.values) != config.n:
         raise ValueError("colouring is not total on the configuration")
     part = colouring.partition
-    for clique in maximal_cliques(config):
-        counts = [0] * len(part)
-        for v in clique:
-            c = colouring.values[v]
-            if not 0 <= c < len(part):
-                return False
-            counts[c] += 1
-        if tuple(counts) != part:
-            return False
-    return True
+    # A ray with a colour outside the partition joins no class, so each
+    # clique through it falls short of its part counts.
+    classes = [0] * len(part)
+    for v, c in enumerate(colouring.values):
+        if 0 <= c < len(part):
+            classes[c] |= 1 << v
+    return all(
+        (mask & cls).bit_count() == p
+        for mask in clique_masks(config)
+        for cls, p in zip(classes, part)
+    )
 
 
 def parity_proof(config: Configuration) -> tuple[int, ...] | None:
@@ -204,6 +204,14 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
 
     Children are keep-masks over the input, tested on its clique masks
     and counted by :func:`_counts_without`: none is built or recounted.
+
+    A subset of a colourable set is colourable: a section of P - w cut
+    to the rays of P - w - v is a section of P - w - v.  So for a
+    representative rep = P - w, a child rep - v needs a search only if
+    P - v was non-colourable; every other child is colourable at once.
+    Each representative carries its parent's non-colourable deletions
+    as its suspects (every ray in the first round), and only those are
+    searched.
     """
     if not is_ks_configuration(parent):
         raise ValueError("input configuration admits a KS colouring")
@@ -211,9 +219,10 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     adj, comp = parent.adj, _complement_rows(parent)
     masks = clique_masks(parent)
     full = (1 << parent.n) - 1
-    # Representatives carry untrimmed (clique, anticlique) counts; a round's
-    # children share one size, so equal counts are equal signatures.
-    current = [(full, (_size_counts(adj, full), _size_counts(comp, full)))]
+    # Representatives carry their suspects and untrimmed (clique,
+    # anticlique) counts; a round's children share one size, so equal
+    # counts are equal signatures.
+    current = [(full, full, (_size_counts(adj, full), _size_counts(comp, full)))]
     iterations: list[ReductionStep] = []
     results: set[int] = set()
     noncolourable: dict[int, bool] = {}
@@ -221,37 +230,37 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     while current:
         per_parent: list[int] = []
         finished: list[tuple[int, ...]] = []
-        by_sig: dict[tuple, int] = {}
-        for rep, (cl, ac) in current:
+        by_sig: dict[tuple, tuple[int, int]] = {}
+        for rep, suspects, (cl, ac) in current:
             inside = [m for m in masks if m & rep == m]
-            bad = []
-            for v in _bits(rep):
+            bad = 0
+            for v in _bits(rep & suspects):
                 child = rep ^ (1 << v)
                 if child not in noncolourable:
                     kept = [m for m in inside if not m >> v & 1]
                     noncolourable[child] = _section_masks(adj, kept) is None
                 if noncolourable[child]:
-                    bad.append(v)
-            per_parent.append(len(bad))
+                    bad |= 1 << v
+            per_parent.append(bad.bit_count())
             if not bad:
                 results.add(rep)
                 finished.append(_bits(rep))
-            for v in bad:
+            for v in _bits(bad):
                 sig = (
                     _counts_without(cl, adj, adj[v] & rep),
                     _counts_without(ac, comp, comp[v] & rep),
                 )
-                by_sig.setdefault(sig, rep ^ (1 << v))
+                by_sig.setdefault(sig, (rep ^ (1 << v), bad))
         iterations.append(
             ReductionStep(
-                parents=[_bits(rep) for rep, _ in current],
+                parents=[_bits(rep) for rep, _, _ in current],
                 survivors_per_parent=per_parent,
                 survivors=sum(per_parent),
                 signature_classes=len(by_sig),
-                representatives=[_bits(child) for child in by_sig.values()],
+                representatives=[_bits(child) for child, _ in by_sig.values()],
                 finished=finished,
             )
         )
-        current = [(child, sig) for sig, child in by_sig.items()]
+        current = [(child, bad, sig) for sig, (child, bad) in by_sig.items()]
 
     return CriticalReport(_bits(full), iterations, sorted(_bits(r) for r in results))

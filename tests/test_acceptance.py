@@ -131,9 +131,15 @@ def test_partition_colourings():
     assert find_partition_colouring(m, (5, 3)) is None
 
 
-def test_critical_reduction():
+@pytest.fixture(scope="module")
+def t0_report():
+    """critical_reduce(T0), shared by the reduction test and its strict xfail."""
+    return critical_reduce(builtin("T0"))
+
+
+def test_critical_reduction(t0_report):
     t0 = builtin("T0")
-    report = critical_reduce(t0)
+    report = t0_report
     first = report.iterations[0]
     # Both the clique-driven search and the independent-set oracle give
     # 48 non-colourable first-round deletions; the recorded 47 is
@@ -165,9 +171,8 @@ def test_critical_reduction():
     "count 48 non-colourable single-ray deletions of the 48-ray set",
     strict=True,
 )
-def test_critical_reduction_recorded_first_round_count():
-    report = critical_reduce(builtin("T0"))
-    assert report.iterations[0].survivors == 47
+def test_critical_reduction_recorded_first_round_count(t0_report):
+    assert t0_report.iterations[0].survivors == 47
 
 
 def test_tropical_enumeration():

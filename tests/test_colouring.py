@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ksrays import builtin, datasets
+from ksrays import builtin, colouring, datasets
 from ksrays.colouring import (
     Colouring,
     CriticalReport,
@@ -113,6 +113,50 @@ class TestPartitionColouring:
         good = find_partition_colouring(m_config, (6, 2))
         negative = Colouring(tuple(-c for c in good.values), (6, 2))
         assert not verify_partition_colouring(m_config, negative)
+
+    def test_verify_matches_per_clique_tuple_reference(self, m_config):
+        """The class-mask check gives the per-clique tuple count's verdict
+        on good, miscounted and out-of-range colourings, including a ray
+        outside every clique, and keeps the ValueError for a wrong length."""
+
+        def reference(config, col):
+            if len(col.values) != config.n:
+                raise ValueError("colouring is not total on the configuration")
+            part = col.partition
+            for clique in maximal_cliques(config):
+                counts = [0] * len(part)
+                for v in clique:
+                    c = col.values[v]
+                    if not 0 <= c < len(part):
+                        return False
+                    counts[c] += 1
+                if tuple(counts) != part:
+                    return False
+            return True
+
+        good = find_partition_colouring(m_config, (6, 2))
+        b = basis(8)
+        # Ray 8 is orthogonal to e3..e8 only, so it lies in no 8-clique.
+        loose = Configuration(b.rays + (make_ray([1, 1, 0, 0, 0, 0, 0, 0]),))
+        cases = [
+            (m_config, good, True),
+            (m_config, Colouring((0,) * m_config.n, (6, 2)), False),
+            (m_config, Colouring(tuple(-c for c in good.values), (6, 2)), False),
+            (m_config, Colouring(tuple(2 * c for c in good.values), (6, 2)), False),
+            (m_config, Colouring((5,) + good.values[1:], (6, 2)), False),
+            (loose, Colouring((1,) + (0,) * 7 + (5,), (7, 1)), True),
+            (loose, Colouring((1,) + (0,) * 7 + (-1,), (7, 1)), True),
+            (loose, Colouring((1, 1) + (0,) * 7, (7, 1)), False),
+            # A partition short of the dimension: no clique has its counts.
+            (loose, Colouring((1,) + (0,) * 8, (6, 1)), False),
+        ]
+        for config, col, expected in cases:
+            assert reference(config, col) is expected
+            assert verify_partition_colouring(config, col) is expected
+        for short in (good.values[:-1], good.values + (0,)):
+            for check in (reference, verify_partition_colouring):
+                with pytest.raises(ValueError):
+                    check(m_config, Colouring(short, (6, 2)))
 
     def test_basis_colourable_for_every_two_part_split(self):
         b = basis(8)
@@ -427,3 +471,35 @@ class TestCriticalReduceOracle:
         report = critical_reduce(sub)
         assert report == reference_critical_reduce(sub)
         assert report.iterations[0].survivors > 0
+
+    @pytest.mark.parametrize("name", ["KP40", "N+6"])
+    def test_only_the_parents_bad_rays_are_searched(self, name, t0_config, monkeypatch):
+        """A deletion the parent survived colourably is never searched:
+        fewer searches than distinct children, at least one per distinct
+        non-colourable child, and the reference's report."""
+        if name == "KP40":
+            config = builtin("KP40")
+        else:
+            in_n = set(datasets.N_INDICES)
+            n_pos = [i for i, g in enumerate(datasets.T0_INDICES) if g in in_n]
+            extra = [i for i, g in enumerate(datasets.T0_INDICES) if g not in in_n]
+            config = t0_config.restrict(sorted(n_pos + random.Random(6).sample(extra, 6)))
+        real = colouring._section_masks
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(colouring, "_section_masks", counted)
+        report = critical_reduce(config)
+        searches = len(calls) - 1  # the first call tests the input itself
+        monkeypatch.undo()
+        children = {
+            frozenset(p) - {v} for step in report.iterations for p in step.parents for v in p
+        }
+        noncolourable = {
+            frozenset(r) for step in report.iterations for r in step.representatives
+        }
+        assert len(noncolourable) <= searches < len(children)
+        assert report == reference_critical_reduce(config)

@@ -125,6 +125,79 @@ class TestDeletionCounts:
                 assert got == signature(config.restrict(_bits(keep & ~(1 << v))))
 
 
+def _size_counts_reference(rows, cand: int) -> list[int]:
+    """Clique counts by the per-clique recursion that the pivot tree
+    replaced: every clique is one node, visited in increasing index
+    order."""
+    counts = [0] * (cand.bit_count() + 1)
+    counts[0] = 1
+
+    def rec(cand: int, size: int) -> None:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            counts[size + 1] += 1
+            nxt = cand & rows[v]
+            if nxt:
+                rec(nxt, size + 1)
+
+    rec(cand, 0)
+    return counts
+
+
+#: Signatures of A and B, as the per-clique recursion counted them; the
+#: other built-ins are pinned in the acceptance suite.
+RECORDED_SIGNATURES = {
+    "A": (
+        (64, 1120, 6720, 15120, 13440, 6720, 1920, 240),
+        (64, 896, 3584, 5376, 3584, 1792, 512, 64),
+    ),
+    "B": (
+        (128, 3776, 33408, 104352, 132864, 84864, 26880, 3360),
+        (128, 4352, 51200, 242944, 564224, 799232, 772096, 536704, 271360,
+         95232, 20480, 2048),
+    ),
+}
+
+
+class TestPivotCounts:
+    """The pivot tree against the per-clique recursion: the same count
+    list on whole ray sets, on every ray's neighbourhood and on random
+    graphs."""
+
+    BUILTINS = ["M", "N", "T0", "KP40", "KP36", "E8", "A", "B"]
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    @pytest.mark.parametrize("kind", ["adjacency", "complement"])
+    def test_builtin_neighbourhoods_match_reference(self, name, kind):
+        config = builtin(name)
+        rows = config.adj if kind == "adjacency" else _complement_rows(config)
+        for cand in ((1 << config.n) - 1, *rows):
+            assert _size_counts(rows, cand) == _size_counts_reference(rows, cand)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 11, 16])
+    def test_random_graphs_match_reference(self, n):
+        import random
+
+        rng = random.Random(400 + n)
+        full = (1 << n) - 1
+        graphs = [[0] * n, [full & ~(1 << i) for i in range(n)]]
+        graphs += [_random_rows(rng, n, density) for density in (0.2, 0.5, 0.8)]
+        for rows in graphs:
+            cands = [0, full] + [rng.getrandbits(n) for _ in range(6)]
+            for cand in cands:
+                assert _size_counts(rows, cand) == _size_counts_reference(rows, cand)
+
+    def test_builtin_signatures_unchanged(self):
+        from test_acceptance import EXPECTED_SIGNATURES
+
+        recorded = {**EXPECTED_SIGNATURES, **RECORDED_SIGNATURES}
+        assert sorted(recorded) == sorted(self.BUILTINS)
+        for name, (cliques, anticliques) in recorded.items():
+            assert signature(builtin(name)) == Signature(cliques, anticliques), name
+
+
 class TestMaximalCliques:
     def test_m_has_320_full_cliques(self, m_config):
         cliques = maximal_cliques(m_config)
