@@ -4,8 +4,8 @@ Clique counts of every size come from a pivot tree over bitset
 candidate sets, whose leaves each stand for a binomial row of cliques;
 anticlique counting runs it on the complement graph.  One k-clique
 walker, an ordered backtracking over index-increasing extensions, lists the
-d-cliques, the disjoint clique tuples of the tropical top level and the
-Pauli parity tuples, and checks the Steiner property.  The d-cliques are
+d-cliques and the Pauli parity tuples and checks the Steiner property; the
+tropical top level walks its disjoint clique tuples by union.  The d-cliques are
 cached on each configuration as bitmasks and inherited by its
 restrictions, which find them through the per-ray clique-incidence
 bitsets (:func:`_inside_cliques`); the exact-hit search over them finds
@@ -176,13 +176,16 @@ def _walk_cliques(rows, k: int, weights, emit) -> None:
             if nxt.bit_count() >= need - 1:
                 rec(nxt, need - 1, acc | weights[v])
 
-    if k == 0:
-        emit(0)
-    elif k == 1:
-        for w in weights:
-            emit(w)
-    else:
-        rec((1 << len(rows)) - 1, k, 0)
+    try:
+        if k == 0:
+            emit(0)
+        elif k == 1:
+            for w in weights:
+                emit(w)
+        else:
+            rec((1 << len(rows)) - 1, k, 0)
+    finally:
+        del rec  # the closure refers to itself: break the cycle
 
 
 def clique_masks(config: Configuration) -> tuple[int, ...]:
@@ -331,7 +334,10 @@ def _section_masks(rows, masks, quota: int = 1, leaf=None) -> int | None:
             out |= low
         return None
 
-    return rec(0, 0)
+    try:
+        return rec(0, 0)
+    finally:
+        del rec  # the closure refers to itself: break the cycle
 
 
 def _gf2_reduce(pivots: dict[int, tuple[int, int]], row: int, combo: int = 0):
@@ -401,9 +407,12 @@ def is_saturated(config: Configuration):
             x |= low
         return True
 
-    if config.n and d > 1 and not rec(0, 0, (1 << config.n) - 1, 0):
-        return False, _bits(witness[0])
-    return True, None
+    try:
+        if config.n and d > 1 and not rec(0, 0, (1 << config.n) - 1, 0):
+            return False, _bits(witness[0])
+        return True, None
+    finally:
+        del rec  # the closure refers to itself: break the cycle
 
 
 def steiner_check(config: Configuration) -> bool:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+
 import pytest
 
 from ksrays import builtin
@@ -32,6 +35,35 @@ def kp40_config() -> Configuration:
 @pytest.fixture(scope="session")
 def kp36_config() -> Configuration:
     return builtin("KP36")
+
+
+def unreachable_after(call) -> int:
+    """Objects the cyclic collector finds unreachable after one call,
+    with the collector off while it runs.  A warm-up call fills every
+    per-instance cache first, so only what the call leaves behind in
+    reference cycles is counted."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def witness_digest(witnesses) -> str:
+    """SHA-256 of ``repr([(w.clique_indices, sorted(w.union)) for w in
+    witnesses])``, hashed one witness at a time so that the listing of
+    M's 308,992 witnesses is never held whole."""
+    digest = hashlib.sha256(b"[")
+    rays: dict[int, str] = {}
+    for k, w in enumerate(witnesses):
+        if id(w.union) not in rays:
+            rays[id(w.union)] = repr(sorted(w.union))
+        digest.update(f"{', ' if k else ''}({w.clique_indices!r}, {rays[id(w.union)]})".encode())
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def independent_sets(rows, n: int):

@@ -59,7 +59,7 @@ from ksrays.pauli import (
 from ksrays.rays import Configuration, make_ray
 from ksrays.tropical import tropical_dimension, admits_anticlique_section
 
-from conftest import naive_ks_ones
+from conftest import naive_ks_ones, witness_digest
 
 
 EXPECTED_SIGNATURES = {
@@ -203,6 +203,10 @@ def test_tropical_enumeration():
     n, witnesses = got
     assert n == 6
     assert len(witnesses) == 308992
+    # The same witnesses in the same order as the per-tuple scan gave,
+    # and one shared ray set per union.
+    assert witness_digest(witnesses).startswith("1433346c0e1f68a3")
+    assert len({id(w.union) for w in witnesses}) == 32
     unions = sorted({tuple(sorted(w.union)) for w in witnesses})
     assert len(unions) == 32
     assert unions == sorted(TROPICAL_INDEX_SETS)

@@ -13,6 +13,8 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import unreachable_after
+
 from ksrays import builtin
 from ksrays.colouring import _counts_without
 from ksrays.rays import Configuration, GaussianInt, Ray, make_ray
@@ -444,6 +446,34 @@ class TestSaturation:
         )
         ok, _ = is_saturated(basis)
         assert ok
+
+
+class TestNoReferenceCycles:
+    """The recursive searches delete their closure on the way out, so a
+    call leaves nothing for the cyclic garbage collector."""
+
+    def test_section_search(self, t0_config):
+        masks = clique_masks(t0_config)
+
+        def deletions():
+            for v in range(0, t0_config.n, 12):
+                _section_masks(t0_config.adj, [m for m in masks if not m >> v & 1])
+
+        assert unreachable_after(deletions) == 0
+        assert unreachable_after(lambda: _section_masks([0b11, 0b11], [0b11], 2)) == 0
+
+    def test_clique_walker(self, m_config):
+        weights = [1 << v for v in range(m_config.n)]
+        for k in (0, 1, 3):
+            assert unreachable_after(
+                lambda: _walk_cliques(m_config.adj, k, weights, lambda acc: None)
+            ) == 0
+
+    @pytest.mark.parametrize("name", ["M", "N"])
+    def test_saturation(self, name):
+        # M is saturated; N stops at a witness.
+        config = builtin(name)
+        assert unreachable_after(lambda: is_saturated(config)) == 0
 
 
 def _saturated_reference(config: Configuration):

@@ -2,18 +2,20 @@
 
 The full restricted enumeration over the 64-ray configuration runs in
 the acceptance suite; tests here exercise the section search, the
-clique walker on disjointness rows, and the top level's per-union
-verdicts against a per-tuple scan over a direct disjoint-tuple
-generator, on small instances and slices of M.
+clique walker on disjointness rows, the top level's distinct unions and
+exact covers, and its per-union verdicts against a per-tuple scan over a
+direct disjoint-tuple generator, on small instances and slices of M.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import cache
 from itertools import combinations, takewhile
 
 import pytest
+from conftest import unreachable_after, witness_digest
 
 from ksrays import builtin
 from ksrays.datasets import T0_INDICES, TROPICAL_INDEX_SETS
@@ -25,7 +27,12 @@ from ksrays.orthograph import (
     maximal_cliques,
 )
 from ksrays.rays import Configuration, make_ray
-from ksrays.tropical import admits_anticlique_section, tropical_dimension
+from ksrays.tropical import (
+    _distinct_unions,
+    _exact_covers,
+    admits_anticlique_section,
+    tropical_dimension,
+)
 
 
 def _disjoint_unions(masks: list[int], size: int):
@@ -60,8 +67,8 @@ def _disjoint_unions(masks: list[int], size: int):
 
 def walk_disjoint(masks: list[int], size: int, n: int):
     """(index tuple, union mask) of the size-cliques of the disjointness
-    graph, from the clique walker with the tropical top level's weights:
-    the rays of clique i below bit n, and bit n + i."""
+    graph, from the clique walker with tagged weights: the rays of
+    clique i below bit n, and bit n + i."""
     rows = [
         sum(1 << j for j, b in enumerate(masks) if j != i and not a & b)
         for i, a in enumerate(masks)
@@ -123,6 +130,77 @@ def cliques_inside(config, index_set):
     return [
         c for c in maximal_cliques(config) if set(c) <= wanted
     ]
+
+
+@cache
+def union_walk_input(name: str) -> Configuration:
+    """The inputs of the union-walk oracle tests: built-ins, the 52-ray
+    restriction of M, and M without 12 seeded rays."""
+    if name == "M-52":
+        return m_minus_overlapping_pair(builtin("M"))
+    if name.startswith("M-12/"):
+        rng = random.Random(int(name[5:]))
+        return builtin("M").restrict(sorted(rng.sample(range(64), 52)))
+    return builtin(name)
+
+
+def oracle_unions(masks, size: int):
+    """Each distinct union of the brute-force generator, mapped to its
+    disjoint tuples in lexicographic order."""
+    covers: dict[int, list[tuple[int, ...]]] = {}
+    for tup, union in _disjoint_unions(list(masks), size):
+        covers.setdefault(union, []).append(tup)
+    return covers
+
+
+UNION_CASES = [
+    ("M-52", 6), ("M-52", 2), ("M-52", 1), ("T0", 6), ("T0", 2), ("T0", 1),
+    ("KP40", 5), ("KP40", 2), ("KP40", 1), ("M-12/1", 3), ("M-12/2", 4),
+    ("M-12/3", 2), ("M-12/4", 1),
+]
+
+
+class TestUnionWalk:
+    """The distinct unions and their exact covers against the direct
+    disjoint-tuple generator."""
+
+    @pytest.mark.parametrize("name,size", UNION_CASES)
+    def test_unions_and_covers_match_generator(self, name, size):
+        config = union_walk_input(name)
+        masks = clique_masks(config)
+        want = oracle_unions(masks, size)
+        assert want, "every case has a disjoint tuple"
+        got = _distinct_unions(config, size)
+        # Each union once, with its lexicographically first tuple, in
+        # the order of those tuples.
+        assert list(got.items()) == [(u, tups[0]) for u, tups in want.items()]
+        for union, tups in want.items():
+            assert _exact_covers(config, union, size) == tups
+
+    def test_no_disjoint_tuple(self, kp40_config):
+        # At most 5 of KP40's 25 cliques are pairwise disjoint.
+        assert not list(_disjoint_unions(list(clique_masks(kp40_config)), 6))
+        assert _distinct_unions(kp40_config, 6) == {}
+        assert tropical_dimension(kp40_config, 6, sample_per_n=0) is None
+
+    def test_ray_set_without_cover(self, kp40_config):
+        # All 40 rays (10 cliques' worth, but at most 5 are disjoint),
+        # or two overlapping cliques, have no exact cover.
+        full = (1 << kp40_config.n) - 1
+        assert _exact_covers(kp40_config, full, 10) == []
+        a, b = next(
+            (a, b) for a, b in combinations(clique_masks(kp40_config), 2) if a & b
+        )
+        assert _exact_covers(kp40_config, a | b, 2) == []
+
+    def test_searches_leave_no_reference_cycles(self, kp40_config):
+        sub = union_walk_input("M-52")
+        unions = list(_distinct_unions(sub, 6))
+        assert unreachable_after(lambda: _distinct_unions(sub, 3)) == 0
+        assert unreachable_after(lambda: _exact_covers(sub, unions[0], 6)) == 0
+        assert unreachable_after(
+            lambda: tropical_dimension(kp40_config, 5, sample_per_n=10)
+        ) == 0
 
 
 class TestSections:
@@ -232,6 +310,16 @@ class TestTropicalDimension:
         assert len(clique_masks(basis)) == 1
         assert tropical_dimension(basis, 10**9, sample_per_n=budget) is None
 
+    @pytest.mark.parametrize("budget", [-5, -1, 2.5, math.nan, -math.inf, True, False, "10", None])
+    def test_bad_budget_rejected(self, kp40_config, budget):
+        with pytest.raises(ValueError, match="sample_per_n must be a non-negative int or math.inf"):
+            tropical_dimension(kp40_config, 5, sample_per_n=budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, math.inf, float("inf")])
+    def test_good_budget_accepted(self, kp40_config, budget):
+        got = tropical_dimension(kp40_config, 5, sample_per_n=budget)
+        assert got is not None and got[0] == 5 and len(got[1]) == 26
+
     def test_precondition_on_small_instance(self):
         # The 18-ray set has orthogonal pairs outside every basis, so
         # the dimension search refuses it up front.
@@ -285,3 +373,5 @@ class TestUnionVerdict:
             )
         # One shared ray set per distinct union.
         assert len({id(w.union) for w in got[1]}) == len({w.union for w in got[1]})
+        assert len(got[1]) == 19312
+        assert witness_digest(got[1]).startswith("17331d454fd0aec6")
