@@ -82,6 +82,7 @@ def _cmd_check(args) -> int:
     t0 = time.perf_counter()
     sat, _ = is_saturated(config)
     ks = is_ks_configuration(config)
+    proof = parity_proof(config) if ks else None
     crit = is_critical(config) if ks else False
     steiner = steiner_check(config)
     elapsed = time.perf_counter() - t0
@@ -89,9 +90,10 @@ def _cmd_check(args) -> int:
     print(f"ks: {_yes(ks)}")
     print(f"critical: {_yes(crit)}")
     print(f"steiner: {_yes(steiner)}")
+    how = f"parity proof, {len(proof)} cliques" if proof else "exhaustive search"
     _say(
         f"{args.input}: {config.n} rays in dimension {config.dim}; "
-        f"saturated: {_yes(sat)}, KS: {_yes(ks)}, critical: {_yes(crit)}, "
+        f"saturated: {_yes(sat)}, KS: {_yes(ks)} ({how}), critical: {_yes(crit)}, "
         f"Steiner: {_yes(steiner)} ({elapsed:.2f}s)"
     )
     return 0

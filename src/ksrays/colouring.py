@@ -1,18 +1,23 @@
 """Decision procedures for KS and partition-compatible colourings.
 
-Both rest on the exact-hit search of :mod:`orthograph`.  A KS colouring
-is an anticlique section of all d-cliques: one ray per clique carries
-the value 1 and its orthogonal rays are forced to 0.  A colouring of a
-partition is one exact-hit search per colour class, each class meeting
-every clique in exactly its part's number of rays.  A naive alternative,
-enumerating every independent set and testing the one-per-clique
-condition, is equivalent but far larger; the two are cross-checked in
-the test suite on small instances.
+A KS colouring is an anticlique section of all d-cliques: one ray per
+clique carries the value 1 and its orthogonal rays are forced to 0.  A
+colouring of a partition is one exact-hit search of :mod:`orthograph`
+per colour class, each class meeting every clique in exactly its part's
+number of rays.  A KS colouring is a (d-1, 1) colouring, so "no KS
+colouring", like "no colouring" of any partition with an odd part, is
+first tried as a GF(2) parity proof: a sound certificate, cheaper than
+the search.  The exact-hit search decides whenever no proof exists.  A
+naive alternative, enumerating every independent set and testing the
+one-per-clique condition, is equivalent but far larger; the two are
+cross-checked in the test suite on small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .rays import Configuration
 from .orthograph import (
@@ -91,8 +96,10 @@ def find_ks_colouring(config: Configuration) -> Colouring | None:
 
 
 def is_ks_configuration(config: Configuration) -> bool:
-    """True iff the configuration admits no KS colouring."""
-    return _section_masks(config.adj, clique_masks(config)) is None
+    """True iff the configuration admits no KS colouring: at once when a
+    :func:`parity_proof` exists, else by exhaustive search."""
+    masks = clique_masks(config)
+    return bool(_parity_combo(masks, config.n)) or _section_masks(config.adj, masks) is None
 
 
 def is_critical(config: Configuration) -> bool:
@@ -130,11 +137,15 @@ def parity_proof(config: Configuration) -> tuple[int, ...] | None:
     colour's indicator sums to 1 mod 2 on each clique, so its sum over
     the set is 1, yet the set counts each ray an even number of times.
     """
-    masks = clique_masks(config)
-    rhs = 1 << config.n  # the right-hand side, 1, of every clique row
+    return _bits(_parity_combo(clique_masks(config), config.n)) or None
+
+
+def _parity_combo(masks, n: int) -> int:
+    """A parity proof over the masks as a bitmask of their indices, or 0."""
+    rhs = 1 << n  # the right-hand side, 1, of every clique row
     pivots, _ = _gf2_eliminate([m | rhs for m in masks])
     rest, combo = _gf2_reduce(pivots, rhs)
-    return None if rest else _bits(combo)
+    return 0 if rest else combo
 
 
 def find_partition_colouring(
@@ -211,7 +222,12 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     P - v was non-colourable; every other child is colourable at once.
     Each representative carries its parent's non-colourable deletions
     as its suspects (every ray in the first round), and only those are
-    searched.
+    decided.
+
+    A suspect is first tried as a parity proof, and searched only when it
+    has none.  The rays a proof's cliques cover are kept as its support
+    for the rest of the call: a child holding a whole support holds every
+    clique of that proof, so it is non-colourable with no further work.
     """
     if not is_ks_configuration(parent):
         raise ValueError("input configuration admits a KS colouring")
@@ -219,6 +235,7 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     adj, comp = parent.adj, _complement_rows(parent)
     masks = clique_masks(parent)
     full = (1 << parent.n) - 1
+    supports: list[int] = []
     # Representatives carry their suspects and untrimmed (clique,
     # anticlique) counts; a round's children share one size, so equal
     # counts are equal signatures.
@@ -236,10 +253,14 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
             bad = 0
             for v in _bits(rep & suspects):
                 child = rep ^ (1 << v)
-                if child not in noncolourable:
+                if child not in noncolourable and not any(not u & ~child for u in supports):
                     kept = [m for m in inside if not m >> v & 1]
-                    noncolourable[child] = _section_masks(adj, kept) is None
-                if noncolourable[child]:
+                    combo = _parity_combo(kept, parent.n)
+                    if combo:
+                        supports.append(reduce(or_, [kept[i] for i in _bits(combo)]))
+                    noncolourable[child] = bool(combo) or _section_masks(adj, kept) is None
+                # A child with no verdict holds a stored support.
+                if noncolourable.get(child, True):
                     bad |= 1 << v
             per_parent.append(bad.bit_count())
             if not bad:

@@ -12,6 +12,21 @@ from ksrays.orthograph import maximal_cliques
 from ksrays.rays import Configuration
 
 
+#: Two critical sets that ``critical_reduce`` does not return: a 40-ray
+#: subset of T0 (indices into T0) whose signature matches none of
+#: ``critical_reduce(T0)``'s results, and a 52-ray subset of M with 56
+#: cliques and no parity proof.
+T0_MISSED_40 = (
+    2, 3, 4, 6, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25,
+    26, 27, 29, 30, 31, 32, 33, 34, 35, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
+)
+M_CRITICAL_52 = (
+    0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 17, 18, 19, 21, 22, 23, 25,
+    26, 27, 28, 29, 30, 32, 34, 35, 37, 38, 39, 40, 43, 44, 45, 46, 47, 48, 49,
+    50, 52, 53, 54, 55, 56, 57, 58, 60, 61, 62, 63,
+)
+
+
 @pytest.fixture(scope="session")
 def m_config() -> Configuration:
     return builtin("M")

@@ -14,6 +14,8 @@ from ksrays.cli import main
 from ksrays.pauli import OPERATOR_LINES, SATURATED_WORDS
 from ksrays.rays import dump_vectors, load_vectors
 
+from conftest import M_CRITICAL_52
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,6 +38,23 @@ class TestCheck:
         assert code == 0
         builtin_out = run(capsys, "check", "KP36")[1]
         assert out == builtin_out
+
+    def test_summary_names_the_ks_evidence(self, capsys, tmp_path):
+        """stderr says whether a parity proof or the search decided KS;
+        stdout keeps its four flag lines."""
+        code, out, err = run(capsys, "check", "M")
+        assert code == 0
+        assert out == "saturated: yes\nks: yes\ncritical: no\nsteiner: yes\n"
+        assert "KS: yes (parity proof, 15 cliques)," in err
+        path = tmp_path / "m52.txt"
+        path.write_text(dump_vectors(builtin("M").restrict(M_CRITICAL_52)))
+        code, out, err = run(capsys, "check", str(path), "--dim", "8")
+        assert code == 0
+        assert out == "saturated: no\nks: yes\ncritical: yes\nsteiner: no\n"
+        assert "KS: yes (exhaustive search)," in err
+        code, out, err = run(capsys, "check", "A")
+        assert "ks: no\n" in out
+        assert "KS: no (exhaustive search)," in err
 
     def test_missing_dim_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "rays.txt"

@@ -19,10 +19,10 @@ from ksrays.colouring import (
     parity_proof,
     verify_partition_colouring,
 )
-from ksrays.orthograph import clique_masks, maximal_cliques, signature
+from ksrays.orthograph import _section_masks, clique_masks, maximal_cliques, signature
 from ksrays.rays import Configuration, make_ray
 
-from conftest import naive_ks_ones
+from conftest import M_CRITICAL_52, T0_MISSED_40, naive_ks_ones
 from test_orthograph import _graph, _random_rows
 
 
@@ -85,6 +85,21 @@ class TestCriticality:
 
     def test_colourable_input_is_not_critical(self):
         assert not is_critical(basis(8))
+
+    def test_t0_set_the_reduction_misses_is_critical(self, t0_config):
+        missed = t0_config.restrict(T0_MISSED_40)
+        sig = signature(missed)
+        assert sig.cliques == (40, 418, 1584, 2849, 2622, 1288, 324, 33)
+        assert sig.anticliques == (40, 362, 828, 510, 96)
+        assert is_critical(missed)
+
+    def test_m_set_without_parity_proof_is_critical(self, m_config):
+        """No certificate exists, so the search decides every verdict."""
+        sub = m_config.restrict(M_CRITICAL_52)
+        assert len(clique_masks(sub)) == 56
+        assert parity_proof(sub) is None
+        assert is_ks_configuration(sub) and plain_search_verdict(sub)
+        assert is_critical(sub)
 
 
 class TestPartitionColouring:
@@ -396,11 +411,17 @@ class TestCriticalReduce:
             assert len(step.representatives) == step.signature_classes
 
 
+def plain_search_verdict(config: Configuration) -> bool:
+    """True iff the exact-hit search finds no KS colouring: the verdict
+    with no parity certificate in its path."""
+    return _section_masks(config.adj, clique_masks(config)) is None
+
+
 def reference_critical_reduce(parent: Configuration) -> CriticalReport:
     """The reduction on restricted child configurations, each recounted
-    in full: every child is built with ``restrict`` and tested and
-    signed on its own."""
-    if not is_ks_configuration(parent):
+    in full: every child is built with ``restrict``, decided by the plain
+    search and signed on its own."""
+    if not plain_search_verdict(parent):
         raise ValueError("input configuration admits a KS colouring")
 
     start = tuple(range(parent.n))
@@ -412,7 +433,7 @@ def reference_critical_reduce(parent: Configuration) -> CriticalReport:
     def ks(indices: tuple[int, ...]) -> bool:
         got = colourable.get(indices)
         if got is None:
-            got = is_ks_configuration(parent.restrict(indices))
+            got = plain_search_verdict(parent.restrict(indices))
             colourable[indices] = got
         return got
 
@@ -452,6 +473,16 @@ def reference_critical_reduce(parent: Configuration) -> CriticalReport:
     return CriticalReport(start, iterations, sorted(results))
 
 
+def reduction_input(name: str, t0_config: Configuration) -> Configuration:
+    """KP40, or N plus six T0 rays drawn with ``random.Random(6)``."""
+    if name == "KP40":
+        return builtin("KP40")
+    in_n = set(datasets.N_INDICES)
+    n_pos = [i for i, g in enumerate(datasets.T0_INDICES) if g in in_n]
+    extra = [i for i, g in enumerate(datasets.T0_INDICES) if g not in in_n]
+    return t0_config.restrict(sorted(n_pos + random.Random(6).sample(extra, 6)))
+
+
 class TestCriticalReduceOracle:
     """The keep-mask reduction with subtracted signatures gives the same
     report, field for field, as the restrict-and-recount reference."""
@@ -475,31 +506,109 @@ class TestCriticalReduceOracle:
     @pytest.mark.parametrize("name", ["KP40", "N+6"])
     def test_only_the_parents_bad_rays_are_searched(self, name, t0_config, monkeypatch):
         """A deletion the parent survived colourably is never searched:
-        fewer searches than distinct children, at least one per distinct
-        non-colourable child, and the reference's report."""
-        if name == "KP40":
-            config = builtin("KP40")
-        else:
-            in_n = set(datasets.N_INDICES)
-            n_pos = [i for i, g in enumerate(datasets.T0_INDICES) if g in in_n]
-            extra = [i for i, g in enumerate(datasets.T0_INDICES) if g not in in_n]
-            config = t0_config.restrict(sorted(n_pos + random.Random(6).sample(extra, 6)))
-        real = colouring._section_masks
-        calls = []
+        fewer searches than distinct children; every distinct
+        non-colourable child is decided by a search or by a parity proof
+        whose cliques all lie inside it; and the reference's report."""
+        config = reduction_input(name, t0_config)
+        real_search, real_combo = colouring._section_masks, colouring._parity_combo
+        searched: list[tuple[int, ...]] = []
+        eliminated: list[list[int]] = []
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def search(adj, kept):
+            searched.append(tuple(kept))
+            return real_search(adj, kept)
 
-        monkeypatch.setattr(colouring, "_section_masks", counted)
+        def combo(kept, n):
+            got = real_combo(kept, n)
+            eliminated.append([m for i, m in enumerate(kept) if got >> i & 1])
+            return got
+
+        monkeypatch.setattr(colouring, "_section_masks", search)
+        monkeypatch.setattr(colouring, "_parity_combo", combo)
         report = critical_reduce(config)
-        searches = len(calls) - 1  # the first call tests the input itself
         monkeypatch.undo()
+        proofs = [proof for proof in eliminated[1:] if proof]  # [0] checks the input
+        masks = clique_masks(config)
         children = {
-            frozenset(p) - {v} for step in report.iterations for p in step.parents for v in p
+            sum(1 << u for u in p if u != v)
+            for step in report.iterations for p in step.parents for v in p
         }
-        noncolourable = {
-            frozenset(r) for step in report.iterations for r in step.representatives
+        inside = {child: tuple(m for m in masks if m & child == m) for child in children}
+        noncolourable = [c for c in children if _section_masks(config.adj, inside[c]) is None]
+        was_searched = set(searched)
+        by_search = {c for c in noncolourable if inside[c] in was_searched}
+        by_proof = {
+            c for c in noncolourable if any(all(m & c == m for m in proof) for proof in proofs)
         }
-        assert len(noncolourable) <= searches < len(children)
+        assert len(searched) < len(children)
+        assert by_proof
+        assert by_search | by_proof == set(noncolourable)
         assert report == reference_critical_reduce(config)
+
+
+class TestCertificateFirstVerdicts:
+    """The verdicts that try a parity proof first, against the plain search,
+    and the proof supports that ``critical_reduce`` keeps within a call."""
+
+    @pytest.mark.parametrize("name, seed", [("M", 31), ("T0", 32), ("KP40", 33), ("E8", 34)])
+    def test_verdict_matches_plain_search(self, name, seed):
+        config = builtin(name)
+        rng = random.Random(seed)
+        subs = [clique_grown_restriction(config, rng, rng.randint(8, 24)) for _ in range(6)]
+        for _ in range(10):
+            gone = set(rng.sample(range(config.n), rng.randint(1, 6)))
+            subs.append(config.restrict([v for v in range(config.n) if v not in gone]))
+        if name == "M":  # non-colourable with no proof: the search decides
+            subs.append(config.restrict(M_CRITICAL_52))
+        seen = set()
+        for sub in subs:
+            got = is_ks_configuration(sub)
+            assert got == plain_search_verdict(sub)
+            seen.add((got, parity_proof(sub) is not None))
+        assert (False, False) in seen and (True, True) in seen
+        assert name != "M" or (True, False) in seen
+
+    @pytest.mark.parametrize("name", ["KP40", "N+6"])
+    def test_support_certifies_exactly_the_children_holding_it(
+        self, name, t0_config, monkeypatch
+    ):
+        """A child reaches the elimination only while no proof found before
+        it in the reduction lies inside it.  The first round, replayed in
+        its ray order, skips exactly the deletions holding an earlier
+        proof's cliques; each other deletion lacks a ray of every earlier
+        support and is eliminated.  Every superset of a support is
+        non-colourable by the plain search."""
+        config = reduction_input(name, t0_config)
+        real = colouring._parity_combo
+        calls: list[tuple[tuple[int, ...], set[int]]] = []
+
+        def combo(kept, n):
+            got = real(kept, n)
+            calls.append((tuple(kept), {m for i, m in enumerate(kept) if got >> i & 1}))
+            return got
+
+        monkeypatch.setattr(colouring, "_parity_combo", combo)
+        critical_reduce(config)
+        monkeypatch.undo()
+        proofs = [proof for _, proof in calls if proof]
+        masks = clique_masks(config)
+        assert calls[0][0] == tuple(masks)  # the input check, whose proof is not kept
+        for k, (kept, _) in enumerate(calls):
+            assert not any(proof <= set(kept) for _, proof in calls[1:k] if proof)
+        found, k, skipped = [], 1, 0
+        for v in range(config.n):
+            inside = tuple(m for m in masks if not m >> v & 1)
+            if any(proof <= set(inside) for proof in found):
+                skipped += 1
+                continue
+            assert calls[k][0] == inside
+            found += [calls[k][1]] if calls[k][1] else []
+            k += 1
+        assert skipped and k > 1
+
+        rng = random.Random(41)
+        for proof in rng.sample(proofs, min(8, len(proofs))):
+            support = [v for v in range(config.n) if any(m >> v & 1 for m in proof)]
+            outside = [v for v in range(config.n) if v not in support]
+            extra = rng.sample(outside, rng.randint(0, len(outside)))
+            assert plain_search_verdict(config.restrict(sorted(support + extra)))
