@@ -23,11 +23,12 @@ from .rays import Configuration
 from .orthograph import (
     _bits,
     _clique_mates,
+    _clique_polys,
     _complement_rows,
+    _deletion_polys,
     _gf2_eliminate,
     _gf2_reduce,
     _section_masks,
-    _size_counts,
     clique_masks,
 )
 
@@ -183,23 +184,16 @@ def find_partition_colouring(
         rows = mates if part[j] == 1 else selves
         return _section_masks(rows, rest, part[j], leaf) is not None
 
-    if not colour(len(part) - 1, 0, 0):
-        return None
+    try:
+        if not colour(len(part) - 1, 0, 0):
+            return None
+    finally:
+        del colour  # the closure refers to itself: break the cycle
     values = [0] * config.n
     for j, picked in enumerate(classes):
         for v in _bits(picked):
             values[v] = j
     return Colouring(tuple(values), part)
-
-
-def _counts_without(counts, rows, nbhd: int) -> tuple[int, ...]:
-    """Clique counts after deleting a vertex v whose neighbourhood (in
-    the graph that counts describes) is nbhd: each k-clique of nbhd is a
-    (k+1)-clique through v."""
-    out = list(counts)
-    for k, c in enumerate(_size_counts(rows, nbhd)):
-        out[k + 1] -= c
-    return tuple(out)
 
 
 def critical_reduce(parent: Configuration) -> CriticalReport:
@@ -213,8 +207,13 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
     deletion are critical and are moved to the result list.
     Deterministic by construction.
 
-    Children are keep-masks over the input, tested on its clique masks
-    and counted by :func:`_counts_without`: none is built or recounted.
+    Children are keep-masks over the input, tested on its clique masks:
+    none is built or recounted.  Counts are packed clique polynomials
+    (:func:`orthograph._clique_polys`) with one memo per side for the
+    whole call, so the input's counts and every child's through-counts
+    share their subproblems.  A child's counts are its parent's minus
+    those through the deleted ray (:func:`orthograph._deletion_polys`),
+    and the packed (clique, anticlique) pair keys the grouping as it is.
 
     A subset of a colourable set is colourable: a section of P - w cut
     to the rays of P - w - v is a section of P - w - v.  So for a
@@ -233,13 +232,17 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
         raise ValueError("input configuration admits a KS colouring")
 
     adj, comp = parent.adj, _complement_rows(parent)
+    adj_memo: dict[int, int] = {}
+    comp_memo: dict[int, int] = {}
     masks = clique_masks(parent)
     full = (1 << parent.n) - 1
     supports: list[int] = []
-    # Representatives carry their suspects and untrimmed (clique,
+    # Representatives carry their suspects and packed (clique,
     # anticlique) counts; a round's children share one size, so equal
     # counts are equal signatures.
-    current = [(full, full, (_size_counts(adj, full), _size_counts(comp, full)))]
+    [cl] = _clique_polys(adj, [full], adj_memo)
+    [ac] = _clique_polys(comp, [full], comp_memo)
+    current = [(full, full, (cl, ac))]
     iterations: list[ReductionStep] = []
     results: set[int] = set()
     noncolourable: dict[int, bool] = {}
@@ -266,11 +269,12 @@ def critical_reduce(parent: Configuration) -> CriticalReport:
             if not bad:
                 results.add(rep)
                 finished.append(_bits(rep))
-            for v in _bits(bad):
-                sig = (
-                    _counts_without(cl, adj, adj[v] & rep),
-                    _counts_without(ac, comp, comp[v] & rep),
-                )
+            deleted = _bits(bad)
+            sigs = zip(
+                _deletion_polys(adj, rep, deleted, cl, adj_memo),
+                _deletion_polys(comp, rep, deleted, ac, comp_memo),
+            )
+            for v, sig in zip(deleted, sigs):
                 by_sig.setdefault(sig, (rep ^ (1 << v), bad))
         iterations.append(
             ReductionStep(

@@ -1,8 +1,11 @@
 """Clique and anticlique machinery on the orthogonality graph.
 
-Clique counts of every size come from a pivot tree over bitset
-candidate sets, whose leaves each stand for a binomial row of cliques;
-anticlique counting runs it on the complement graph.  One k-clique
+Clique counts of every size come from a memoised pivot recursion over
+bitset candidate sets, each set's counts packed into one int as a
+polynomial with a field of n + 1 bits per size (a count of cliques of n
+vertices is at most 2^n, so no field carries); anticlique counting runs
+it on the complement graph.  A caller may share one memo across many
+candidate sets of one graph, as the critical reduction does.  One k-clique
 walker, an ordered backtracking over index-increasing extensions, lists the
 d-cliques and the Pauli parity tuples and checks the Steiner property; the
 tropical top level walks its disjoint clique tuples by union.  The d-cliques are
@@ -19,9 +22,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import compress, repeat
-from math import comb
 from operator import and_, or_, rshift
 
 from .rays import Configuration, _bit_flags
@@ -40,65 +42,91 @@ class Signature:
     anticliques: tuple[int, ...]
 
 
-@cache
-def _binomial_row(q: int) -> tuple[int, ...]:
-    """C(q, j) for j = 0..q."""
-    return tuple(comb(q, j) for j in range(q + 1))
+def _clique_polys(rows, cands, memo: dict[int, int]) -> list[int]:
+    """Clique-count polynomials of the vertex bitmasks cands in a
+    bitset-adjacency graph, each packed into one int.
+
+    Coefficient k of a polynomial, the number of k-cliques (1 for the
+    empty clique), sits at bit k * width, width = len(rows) + 1.  The
+    fields cannot carry into each other: a coefficient counts a family of
+    cliques of the len(rows) vertices, so it is at most 2^len(rows) and
+    fits in width bits.  That holds for every sum, product and difference
+    of these polynomials that counts such a family, so the arithmetic of
+    the packed ints is that of the polynomials.
+
+    The recursion is the pivot split of Jain & Seshadhri, *The Power of
+    Pivoting for Exact Clique Counting* (WSDM 2020), memoised on the
+    candidate set in memo, which callers with the same rows may share.
+    The lowest candidate p is the pivot: the cliques whose other vertices
+    all lie in p's neighbourhood give (1 + x) f(cand & rows[p]).  Every
+    other clique has a first candidate u outside that neighbourhood, and
+    the cliques held that way give x f(cand' & rows[u]), cand' being the
+    candidates not yet held.  A run of pivots with nothing outside their
+    neighbourhoods is one factor (1 + x)^q, so neither the recursion depth
+    nor the memo grows with a large clique or anticlique.
+    """
+    width = len(rows) + 1
+
+    # The constants ride as defaults, read as fast locals; a subproblem
+    # already in the memo is read there without a call.
+    def count(cand: int, get=memo.get, rows=rows, width=width,
+              step=(1 << width) + 1) -> int:
+        top = cand
+        q = 0
+        while cand:
+            low = cand & -cand
+            row = rows[low.bit_length() - 1]
+            rest = cand & ~row ^ low
+            if rest:
+                break
+            cand ^= low
+            q += 1
+        if cand:
+            nxt = cand & row
+            poly = get(nxt) or count(nxt)
+            poly += poly << width
+            held = 0
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                cand ^= u
+                nxt = cand & rows[u.bit_length() - 1]
+                held += get(nxt) or count(nxt)
+            poly += held << width
+        else:
+            poly = 1
+        if q:
+            poly *= step**q
+        memo[top] = poly
+        return poly
+
+    try:
+        return [memo.get(cand) or count(cand) for cand in cands]
+    finally:
+        del count  # the closure refers to itself: break the cycle
+
+
+def _deletion_polys(rows, keep: int, deleted, whole: int, memo: dict[int, int]) -> list[int]:
+    """Packed clique polynomials of keep - v for each v in deleted, given
+    whole, that of keep.  The cliques through v are one per clique of
+    v's neighbourhood in keep, one size up: whole minus that polynomial
+    shifted one field."""
+    width = len(rows) + 1
+    through = _clique_polys(rows, [rows[v] & keep for v in deleted], memo)
+    return [whole - (t << width) for t in through]
 
 
 def _size_counts(rows: tuple[int, ...] | list[int], cand: int) -> list[int]:
     """Count cliques of every size inside the vertex bitmask cand of a
-    bitset-adjacency graph.
-
-    Returns counts[k] = number of k-cliques, counts[0] = 1 (the empty
-    clique), for k up to the size of cand.  The walk is the pivot tree of
-    Jain & Seshadhri, *The Power of Pivoting for Exact Clique Counting*
-    (WSDM 2020).  A node holds h rays that every clique below it
-    contains and q pivots that each clique may take or leave.  Its
-    lowest candidate p becomes the next pivot: the cliques whose other
-    rays all lie in p's neighbourhood are counted by one child on
-    cand & rows[p].  Every other clique has a first candidate u outside
-    that neighbourhood, so each such u in turn is held for one child on
-    the candidates still left that are adjacent to u.  A leaf, a node
-    with no candidates, stands for C(q, j) cliques of each size h + j,
-    and each clique lies under exactly one leaf.  Leaves are tallied by
-    (h, q) and expanded into binomial rows once at the end.
-    """
-    if not cand:
-        return [1]
-    stride = cand.bit_count() + 1
-    tally = [0] * (stride * stride)  # tally[h * stride + q]: leaves seen
-    # Nodes wait on a stack as (candidates, h * stride + q); the order in
-    # which they are expanded does not change the tally.
-    stack = [(cand, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        cand, key = pop()
-        low = cand & -cand
-        row = rows[low.bit_length() - 1]
-        nxt = cand & row
-        if nxt:
-            push((nxt, key + 1))
-        else:
-            tally[key + 1] += 1
-        rest = cand & ~row ^ low
-        key += stride
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            cand ^= u
-            nxt = cand & rows[u.bit_length() - 1]
-            if nxt:
-                push((nxt, key))
-            else:
-                tally[key] += 1
-    counts = [0] * stride
-    for key in compress(range(len(tally)), tally):
-        held, pivots = divmod(key, stride)
-        leaves = tally[key]
-        for k, c in enumerate(_binomial_row(pivots), held):
-            counts[k] += leaves * c
-    return counts
+    bitset-adjacency graph: counts[k] = number of k-cliques, counts[0] = 1
+    (the empty clique), for k up to the size of cand.  It is one
+    :func:`_clique_polys` call with a fresh memo: the memoised pivot
+    recursion, whose packed fields of len(rows) + 1 bits are read off
+    here (no field carries, as a count never exceeds 2^len(rows))."""
+    [poly] = _clique_polys(rows, [cand], {})
+    width = len(rows) + 1
+    field = (1 << width) - 1
+    return [poly >> k * width & field for k in range(cand.bit_count() + 1)]
 
 
 def _trim(counts: list[int]) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 import pytest
@@ -16,13 +17,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import unreachable_after
 
 from ksrays import builtin
-from ksrays.colouring import _counts_without
+from ksrays.colouring import critical_reduce, find_partition_colouring
 from ksrays.rays import Configuration, GaussianInt, Ray, make_ray
 from ksrays.orthograph import (
     Signature,
     _bits,
     _clique_mates,
+    _clique_polys,
     _complement_rows,
+    _deletion_polys,
     _inside_cliques,
     _section_masks,
     _size_counts,
@@ -107,7 +110,8 @@ class TestSignature:
 class TestDeletionCounts:
     """sig(keep - v) is sig(keep) minus the counts through v: the cliques
     of N(v) & keep and the anticliques of the complement's N(v) & keep,
-    each shifted up one size.  Checked against full recounts."""
+    each shifted up one size.  Checked on the packed polynomials, one
+    memo per side as in critical_reduce, against full recounts."""
 
     @pytest.mark.parametrize("name, seed", [("M", 31), ("T0", 32), ("E8", 33)])
     def test_subtraction_matches_recount(self, name, seed):
@@ -115,20 +119,29 @@ class TestDeletionCounts:
 
         config = builtin(name)
         comp = _complement_rows(config)
+        width = config.n + 1
+        memos: tuple[dict, dict] = ({}, {})
         rng = random.Random(seed)
         for _ in range(4):
             keep = sum(1 << v for v in rng.sample(range(config.n), rng.randint(16, 30)))
-            cl, ac = _size_counts(config.adj, keep), _size_counts(comp, keep)
-            for v in _bits(keep):
-                got = Signature(
-                    _trim(_counts_without(cl, config.adj, config.adj[v] & keep)),
-                    _trim(_counts_without(ac, comp, comp[v] & keep)),
-                )
-                assert got == signature(config.restrict(_bits(keep & ~(1 << v))))
+            got = []
+            for rows, memo in zip((config.adj, comp), memos):
+                [whole] = _clique_polys(rows, [keep], memo)
+                children = _deletion_polys(rows, keep, _bits(keep), whole, memo)
+                got.append([_unpack(poly, width) for poly in children])
+            for v, cl, ac in zip(_bits(keep), *got):
+                want = signature(config.restrict(_bits(keep & ~(1 << v))))
+                assert Signature(cl, ac) == want
+
+
+def _unpack(poly: int, width: int) -> tuple[int, ...]:
+    """Counts of sizes 1, 2, ... of a packed polynomial, trimmed."""
+    field = (1 << width) - 1
+    return _trim([poly >> k * width & field for k in range(poly.bit_length() // width + 1)])
 
 
 def _size_counts_reference(rows, cand: int) -> list[int]:
-    """Clique counts by the per-clique recursion that the pivot tree
+    """Clique counts by the per-clique recursion that pivot counting
     replaced: every clique is one node, visited in increasing index
     order."""
     counts = [0] * (cand.bit_count() + 1)
@@ -164,9 +177,9 @@ RECORDED_SIGNATURES = {
 
 
 class TestPivotCounts:
-    """The pivot tree against the per-clique recursion: the same count
-    list on whole ray sets, on every ray's neighbourhood and on random
-    graphs."""
+    """The memoised pivot recursion against the per-clique recursion:
+    the same count list on whole ray sets, on every ray's neighbourhood
+    and on random graphs, with a fresh memo or a shared one."""
 
     BUILTINS = ["M", "N", "T0", "KP40", "KP36", "E8", "A", "B"]
 
@@ -190,6 +203,27 @@ class TestPivotCounts:
             cands = [0, full] + [rng.getrandbits(n) for _ in range(6)]
             for cand in cands:
                 assert _size_counts(rows, cand) == _size_counts_reference(rows, cand)
+
+    @pytest.mark.parametrize("name", ["T0", "E8"])
+    @pytest.mark.parametrize("kind", ["adjacency", "complement"])
+    def test_shared_memo_matches_fresh_counts(self, name, kind):
+        config = builtin(name)
+        rows = config.adj if kind == "adjacency" else _complement_rows(config)
+        cands = [(1 << config.n) - 1, *rows]
+        shared = _clique_polys(rows, cands, {})
+        assert shared == [_clique_polys(rows, [cand], {})[0] for cand in cands]
+        width = config.n + 1
+        for cand, poly in zip(cands, shared):
+            assert _unpack(poly, width) == _trim(_size_counts(rows, cand))
+
+    def test_complete_and_empty_graphs_on_1200_vertices(self):
+        """The complete graph is one run of non-branching pivots, and
+        the empty graph branches once at its root: neither recurses deeply."""
+        n = 1200
+        full = (1 << n) - 1
+        complete = [full & ~(1 << v) for v in range(n)]
+        assert _size_counts(complete, full) == [comb(n, k) for k in range(n + 1)]
+        assert _size_counts([0] * n, full) == [1, n] + [0] * (n - 1)
 
     def test_builtin_signatures_unchanged(self):
         from test_acceptance import EXPECTED_SIGNATURES
@@ -474,6 +508,19 @@ class TestNoReferenceCycles:
         # M is saturated; N stops at a witness.
         config = builtin(name)
         assert unreachable_after(lambda: is_saturated(config)) == 0
+
+    def test_clique_counts(self, m_config):
+        full = (1 << m_config.n) - 1
+        comp = _complement_rows(m_config)
+        assert unreachable_after(lambda: _size_counts(m_config.adj, full)) == 0
+        assert unreachable_after(lambda: _size_counts(comp, full)) == 0
+
+    def test_critical_reduction(self, kp40_config):
+        assert unreachable_after(lambda: critical_reduce(kp40_config)) == 0
+
+    @pytest.mark.parametrize("partition", [(6, 2), (4, 4)])
+    def test_partition_colouring(self, m_config, partition):
+        assert unreachable_after(lambda: find_partition_colouring(m_config, partition)) == 0
 
 
 def _saturated_reference(config: Configuration):
