@@ -2,9 +2,14 @@
 
 Each built-in has one definition, taken from the object it comes from.
 The 64-ray saturated configuration M is stored as a literal vector
-table; its subconfigurations (the critical 36-ray set N, the 32 tropical
-48-ray sets, T0 the first of them) are index sets into M, restricted
-from it.  KP36 is KP40 restricted to all but the four excluded rays.
+table, in the paper's numbering.  Its subconfigurations are index sets
+into M, restricted from it: the critical 36-ray set N, and the 32
+tropical 48-ray sets, T0 the first of them.  The tropical sets follow a
+half-basis rule over the Pauli operator lines whose joint eigenbases
+make up M.  KP40 is the union of the joint eigenbases of Mermin's
+five-context star, and KP36 is KP40 restricted to all but the four
+excluded rays.  Both are derived on first use; the module attributes
+T0_INDICES, TROPICAL_INDEX_SETS and KP_VECTORS compute them on access.
 The 120-ray E8 configuration and its 64-ray full-support part A are
 generated from their shape rules.  B is A followed by T(A), for the
 orthogonal map T defined by eight basis assignments: ray k is A's ray k
@@ -16,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
 from .rays import Configuration, Ray, make_ray
 from .orthograph import _bits, _inside_cliques, capacity, clique_masks
+from .pauli import OPERATOR_LINES, SATURATED_WORDS, apply_word, joint_eigenrays, word
 
 
 def _vec(text: str) -> tuple[int, ...]:
@@ -114,52 +120,18 @@ PARTITION_44_ONES = (
     32, 33, 34, 35, 36, 37, 38, 39, 56, 57, 58, 59, 60, 61, 62, 63,
 )
 
-#: The 40 Kernaghan-Peres vectors (indices 0..39).
-KP_VECTORS = tuple(
-    _vec(s)
-    for s in (
-        "1 0 0 0 0 0 0 0",
-        "0 1 0 0 0 0 0 0",
-        "0 0 1 0 0 0 0 0",
-        "0 0 0 1 0 0 0 0",
-        "0 0 0 0 1 0 0 0",
-        "0 0 0 0 0 1 0 0",
-        "0 0 0 0 0 0 1 0",
-        "0 0 0 0 0 0 0 1",
-        "1 1 1 1 0 0 0 0",
-        "1 1 -1 -1 0 0 0 0",
-        "1 -1 1 -1 0 0 0 0",
-        "1 -1 -1 1 0 0 0 0",
-        "0 0 0 0 1 1 1 1",
-        "0 0 0 0 1 1 -1 -1",
-        "0 0 0 0 1 -1 1 -1",
-        "0 0 0 0 1 -1 -1 1",
-        "1 1 0 0 1 1 0 0",
-        "1 1 0 0 -1 -1 0 0",
-        "1 -1 0 0 1 -1 0 0",
-        "1 -1 0 0 -1 1 0 0",
-        "0 0 1 1 0 0 1 1",
-        "0 0 1 1 0 0 -1 -1",
-        "0 0 1 -1 0 0 1 -1",
-        "0 0 1 -1 0 0 -1 1",
-        "1 0 1 0 1 0 1 0",
-        "1 0 1 0 -1 0 -1 0",
-        "1 0 -1 0 1 0 -1 0",
-        "1 0 -1 0 -1 0 1 0",
-        "0 1 0 1 0 1 0 1",
-        "0 1 0 1 0 -1 0 -1",
-        "0 1 0 -1 0 1 0 -1",
-        "0 1 0 -1 0 -1 0 1",
-        "1 0 0 1 0 1 -1 0",
-        "1 0 0 -1 0 1 1 0",
-        "1 0 0 1 0 -1 1 0",
-        "1 0 0 -1 0 -1 -1 0",
-        "0 1 1 0 -1 0 0 1",
-        "0 1 -1 0 1 0 0 1",
-        "0 -1 1 0 1 0 0 1",
-        "0 -1 -1 0 -1 0 0 1",
-    )
+#: Mermin's five-context star, each context closed to its 7 words in
+#: the format of pauli.OPERATOR_LINES.  KP40 is the union of their joint
+#: eigenbases: the first four each in reverse joint_eigenrays order,
+#: then the fifth's eigenrays at the positions of KP_LAST_ORDER.
+KP_LINES = (
+    "ZII IZI ZZI IIZ ZIZ IZZ ZZZ",
+    "XII IXI XXI IIZ XIZ IXZ XXZ",
+    "XII IZI XZI IIX XIX IZX XZX",
+    "ZII IXI ZXI IIX ZIX IXX ZXX",
+    "YYI ZXX XZX YIY IYY XXZ ZZZ",
 )
+KP_LAST_ORDER = (7, 5, 6, 4, 2, 1, 0, 3)
 
 #: Excluded indices turning the 40-ray set into the critical 36-ray one.
 KP_EXCLUDED = (0, 12, 22, 31)
@@ -178,47 +150,6 @@ TRANSFORM_PAIRS = tuple(
         ("1 1 1 -1 1 -1 -1 -1", "0 0 0 0 1 1 1 1"),
     )
 )
-
-#: The 32 tropical index sets into M, T0 first; computed once by the
-#: restricted disjoint-six-tuple enumeration and verified by the
-#: acceptance suite.
-TROPICAL_INDEX_SETS = (
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 32, 33, 34, 37, 38, 39, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 32, 33, 34, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 33, 34, 35, 36, 37, 38, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 32, 33, 34, 37, 38, 39, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 32, 33, 34, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 33, 34, 35, 36, 37, 38, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 4, 7, 9, 10, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 32, 33, 34, 37, 38, 39, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 32, 33, 34, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 33, 34, 35, 36, 37, 38, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 29, 30, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 32, 33, 34, 37, 38, 39, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 32, 33, 34, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 57, 58, 59, 60, 61, 62),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 33, 34, 35, 36, 37, 38, 40, 41, 43, 44, 46, 47, 48, 50, 51, 52, 53, 55, 56, 57, 58, 61, 62, 63),
-    (0, 1, 2, 3, 5, 6, 8, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 31, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 54, 55, 56, 57, 58, 61, 62, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 59, 60, 61, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 58, 59, 60, 61, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 57, 59, 60, 62, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 57, 59, 60, 62, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 59, 60, 61, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 58, 59, 60, 61, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 57, 59, 60, 62, 63),
-    (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 57, 59, 60, 62, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 59, 60, 61, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 58, 59, 60, 61, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 57, 59, 60, 62, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 57, 59, 60, 62, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 59, 60, 61, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 33, 35, 36, 38, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 58, 59, 60, 61, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 40, 41, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 57, 59, 60, 62, 63),
-    (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22, 24, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 48, 49, 50, 53, 54, 55, 56, 57, 59, 60, 62, 63),
-)
-
-#: Index set of the tropical 48-ray subconfiguration T0 of M.
-T0_INDICES = TROPICAL_INDEX_SETS[0]
 
 
 @dataclass(frozen=True)
@@ -308,6 +239,52 @@ def _e8_two_support() -> list[Ray]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _tropical_index_sets() -> tuple[tuple[int, ...], ...]:
+    """The 32 tropical index sets into M, sorted, so T0 comes first.
+
+    Two words lie on four operator lines each, XIZ and XZZ; every other
+    word lies on two.  A word's four lines form two pairs that meet only
+    in it, and the word splits each line's basis into its +1 and -1
+    eigenspaces, half-bases of four rays.  A tropical set is M minus one
+    half-basis per pair and per sign, each taken from either line of its
+    pair: 2^4 sets per word.
+    """
+    m = builtin("M")
+    at = {r: i for i, r in enumerate(m.rays)}
+    full = (1 << m.n) - 1
+    sets = []
+    for w in SATURATED_WORDS:
+        lines = [line for line in OPERATOR_LINES if w in line]
+        if len(lines) != 4:
+            continue
+        # (line, eigenvalue of w) -> that half-basis, as a mask into M
+        half = dict.fromkeys(((line, s) for line in lines for s in (1, -1)), 0)
+        for line in lines:
+            for r in joint_eigenrays(line):
+                vec = [c.re for c in r.coords]
+                half[line, 1 if apply_word(w, vec) == vec else -1] |= 1 << at[r]
+        pairs = [(a, b) for a, b in combinations(lines, 2) if set(a) & set(b) == {w}]
+        options = [(half[a, s], half[b, s]) for a, b in pairs for s in (1, -1)]
+        for dropped in product(*options):  # four disjoint half-bases
+            sets.append(_bits(full ^ sum(dropped)))
+    return tuple(sorted(sets))
+
+
+def _build_kp40() -> Configuration:
+    orders = [range(7, -1, -1)] * 4 + [KP_LAST_ORDER]
+    rays = []
+    for text, order in zip(KP_LINES, orders):
+        basis = joint_eigenrays(map(word, text.split()))
+        rays += [basis[i] for i in order]
+    return Configuration(rays)
+
+
+def _build_kp36() -> Configuration:
+    kp40 = builtin("KP40")
+    return kp40.restrict(i for i in range(kp40.n) if i not in KP_EXCLUDED)
+
+
 def _build_b() -> Configuration:
     """B = A followed by T(A): ray k is A's ray k and ray 64 + k is its
     image T(A[k]).  The constructor's duplicate check makes the two
@@ -321,12 +298,10 @@ def _build_b() -> Configuration:
 _BUILDERS = {
     "M": lambda: Configuration([make_ray(v) for v in M_VECTORS]),
     "N": lambda: builtin("M").restrict(N_INDICES),
-    "T0": lambda: builtin("M").restrict(T0_INDICES),
-    "TROPICALS": lambda: tuple(map(builtin("M").restrict, TROPICAL_INDEX_SETS)),
-    "KP40": lambda: Configuration([make_ray(v) for v in KP_VECTORS]),
-    "KP36": lambda: builtin("KP40").restrict(
-        i for i in range(len(KP_VECTORS)) if i not in KP_EXCLUDED
-    ),
+    "T0": lambda: builtin("M").restrict(_tropical_index_sets()[0]),
+    "TROPICALS": lambda: tuple(map(builtin("M").restrict, _tropical_index_sets())),
+    "KP40": _build_kp40,
+    "KP36": _build_kp36,
     "E8": lambda: Configuration(_e8_full_support() + _e8_two_support()),
     "A": lambda: Configuration(_e8_full_support()),
     "B": _build_b,
@@ -344,6 +319,18 @@ def builtin(name: str):
     except KeyError:
         raise ValueError(f"unknown dataset {name!r}") from None
     return build()
+
+
+def __getattr__(name: str):
+    """The derived tables, computed on first use (PEP 562): the 32
+    tropical index sets, T0's, and KP40's vectors."""
+    if name == "TROPICAL_INDEX_SETS":
+        return _tropical_index_sets()
+    if name == "T0_INDICES":
+        return _tropical_index_sets()[0]
+    if name == "KP_VECTORS":
+        return tuple(tuple(c.re for c in r.coords) for r in builtin("KP40").rays)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- maximal-capacity pipeline -----------------------------------------

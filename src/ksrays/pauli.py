@@ -8,9 +8,9 @@ significant bit of the 2^n-dimensional index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 
 from .orthograph import _bits, _gf2_eliminate, _gf2_reduce, _walk_cliques
 from .rays import Ray, make_ray
@@ -23,6 +23,16 @@ class PauliWord:
     """Tensor word over {I, X, Y, Z}; codes[k] is the letter on qubit k."""
 
     codes: tuple[int, ...]
+    #: (x, z) with the word = +Z^z X^x exactly, since Y = ZX; bit k is
+    #: qubit k.  Set once at construction: proofs reuse a few words.
+    xz: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        x = z = 0
+        for k, c in enumerate(self.codes):
+            x |= (c in (1, 2)) << k
+            z |= (c >= 2) << k
+        object.__setattr__(self, "xz", (x, z))
 
     @property
     def n_qubits(self) -> int:
@@ -66,17 +76,6 @@ def word_from_index(alpha: int, n_qubits: int) -> PauliWord:
     )
 
 
-@cache
-def _xz(w: PauliWord) -> tuple[int, int]:
-    """(x, z) with w = +Z^z X^x exactly, since Y = ZX; bit k is qubit k.
-    Cached: words are frozen, and proofs reuse a few of them."""
-    x = z = 0
-    for k, c in enumerate(w.codes):
-        x |= (c in (1, 2)) << k
-        z |= (c >= 2) << k
-    return x, z
-
-
 def _commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return not ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1
 
@@ -95,7 +94,7 @@ def _product_sign(pairs) -> int | None:
 def _xz_all(words) -> list[tuple[int, int]]:
     if len({len(w.codes) for w in words}) > 1:
         raise ValueError("qubit count mismatch")
-    return list(map(_xz, words))
+    return [w.xz for w in words]
 
 
 def pauli_mul(a: SignedWord, b: SignedWord) -> SignedWord:
@@ -166,7 +165,7 @@ def apply_word(w: PauliWord, vec: list[int]) -> list[int]:
     Z^z X^x maps e_j to (-1)^|i & z| e_i with i = j ^ x."""
     if len(vec) != 1 << w.n_qubits:
         raise ValueError("vector length mismatch")
-    x, z = _xz(w)
+    x, z = w.xz
     out = [0] * len(vec)
     for j, v in enumerate(vec):
         i = j ^ x
@@ -175,7 +174,7 @@ def apply_word(w: PauliWord, vec: list[int]) -> list[int]:
 
 
 def _symplectic_bits(w: PauliWord) -> int:
-    x, z = _xz(w)
+    x, z = w.xz
     return x | z << w.n_qubits
 
 
@@ -193,7 +192,8 @@ def joint_eigenrays(words) -> list[Ray]:
 
     Each word must square to +identity (even Y count).  Projectors
     (1 +- W)/2 for three independent generators are applied to standard
-    basis vectors; make_ray divides out their common power of two.
+    basis vectors.  Their common power of two is divided out before
+    make_ray, whose Gaussian gcd would otherwise find it slowly.
     """
     words = list(words)
     if len(words) != 7 or any(w.n_qubits != 3 for w in words):
@@ -222,7 +222,8 @@ def joint_eigenrays(words) -> list[Ray]:
                 break
         if vec is None:
             raise ValueError("empty joint eigenspace; generators inconsistent")
-        rays.append(make_ray(vec))
+        g = gcd(*vec)
+        rays.append(make_ray([a // g for a in vec]))
     rays.sort(key=lambda r: tuple((c.re, c.im) for c in r.coords))
     return rays
 

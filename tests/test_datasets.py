@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from ksrays import builtin
 from ksrays.datasets import (
     DATASET_NAMES,
     KP_EXCLUDED,
+    KP_LINES,
     KP_VECTORS,
     M_VECTORS,
     N_INDICES,
@@ -22,7 +28,22 @@ from ksrays.datasets import (
     build_transform_T,
 )
 from ksrays.orthograph import maximal_cliques
-from ksrays.rays import Configuration, make_ray
+from ksrays.pauli import OPERATOR_LINES, apply_word, joint_eigenrays, word
+from ksrays.rays import Configuration, dump_vectors, make_ray
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _digest(texts) -> str:
+    """First 16 hex digits of one SHA-256 over the texts in turn."""
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()[:16]
+
+
+def _dump(config: Configuration) -> str:
+    return dump_vectors(config) + repr(config.adj)
 
 
 class TestCardinalities:
@@ -171,3 +192,79 @@ class TestE8Family:
         for vec in M_VECTORS:
             assert all(x in (-1, 0, 1) for x in vec)
             assert len(vec) == 8
+
+
+class TestDerivedTables:
+    """KP40 and the 32 tropical sets, derived from their Pauli contexts,
+    are pinned to the tables they replaced."""
+
+    def test_tropical_index_sets_pinned(self):
+        assert _digest([repr(TROPICAL_INDEX_SETS)]) == "dba96f98cbaafe2d"
+
+    def test_kp40_pinned(self):
+        assert _digest([_dump(builtin("KP40"))]) == "c4ca06744666cc0f"
+
+    def test_single_builtins_pinned(self):
+        singles = (builtin(n) for n in DATASET_NAMES if n != "TROPICALS")
+        assert _digest(map(_dump, singles)) == "6dd7375ba7e91dbe"
+
+    def test_tropicals_pinned(self):
+        assert _digest(map(_dump, builtin("TROPICALS"))) == "d2179d613ce93b18"
+
+    def test_kp_vectors_span_kp40(self):
+        assert [make_ray(v) for v in KP_VECTORS] == list(builtin("KP40").rays)
+
+    def test_each_tropical_set_is_m_minus_four_half_bases(self):
+        # The +-1 eigenspaces of a word inside one line's basis, as index
+        # sets into M, for every word on four lines.
+        at = {r: i for i, r in enumerate(builtin("M").rays)}
+        halves = {}
+        for w in {w for line in OPERATOR_LINES for w in line}:
+            lines = [line for line in OPERATOR_LINES if w in line]
+            if len(lines) != 4:
+                continue
+            for k, line in enumerate(lines):
+                for i in (at[r] for r in joint_eigenrays(line)):
+                    sign = 1 if apply_word(w, list(M_VECTORS[i])) == list(M_VECTORS[i]) else -1
+                    halves.setdefault((str(w), k, sign), set()).add(i)
+        assert {w for w, _, _ in halves} == {"XIZ", "XZZ"}
+        assert all(len(h) == 4 for h in halves.values())
+        for idx in TROPICAL_INDEX_SETS:
+            removed = set(range(64)) - set(idx)
+            parts = [key for key, h in halves.items() if h <= removed]
+            assert len(parts) == 4
+            assert set().union(*(halves[key] for key in parts)) == removed
+            assert len({w for w, _, _ in parts}) == 1
+            assert sorted(sign for _, _, sign in parts) == [-1, -1, 1, 1]
+
+    def test_each_kp_context_basis_is_a_clique_of_kp40(self):
+        kp40 = builtin("KP40")
+        at = {r: i for i, r in enumerate(kp40.rays)}
+        cliques = set(maximal_cliques(kp40))
+        covered = set()
+        for text in KP_LINES:
+            basis = tuple(sorted(at[r] for r in joint_eigenrays(map(word, text.split()))))
+            assert len(basis) == 8 and basis in cliques
+            covered.update(basis)
+        assert covered == set(range(40))
+
+    def test_unknown_attribute_raises(self):
+        import ksrays.datasets as d
+
+        with pytest.raises(AttributeError):
+            d.NO_SUCH_TABLE
+
+    def test_import_derives_nothing(self):
+        # A fresh import leaves the derivation caches empty and binds none
+        # of the derived tables as module globals.
+        code = (
+            "import ksrays, ksrays.datasets as d; "
+            "print(d._tropical_index_sets.cache_info().currsize, "
+            "d.builtin.cache_info().currsize, "
+            "sorted({'KP_VECTORS', 'T0_INDICES', 'TROPICAL_INDEX_SETS'} & set(vars(d))))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0 0 []"

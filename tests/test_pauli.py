@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from ksrays import builtin
 from ksrays.pauli import (
+    LETTERS,
     OPERATOR_LINES,
     PROOF_LINES,
     SATURATED_WORDS,
@@ -324,6 +326,21 @@ class TestParityTuples:
         assert len(SATURATED_WORDS) == 26
         assert indices == sorted(set(indices))
         assert set(SATURATED_WORDS) == {w for line in OPERATOR_LINES for w in line}
+
+    def test_reprs_pinned(self):
+        # A word's stored (x, z) stays out of its repr, equality and hash.
+        def digest(obj):
+            return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+        assert digest(SATURATED_WORDS) == "57ad3f86cdaddc39"
+        assert digest(mine_parity_proofs(SATURATED_WORDS)) == "6d26ef7becc1e632"
+
+    @given(words3)
+    def test_stored_xz_is_the_word(self, w):
+        x, z = w.xz
+        assert w == PauliWord(w.codes) and hash(w) == hash(PauliWord(w.codes))
+        for k, c in enumerate(w.codes):
+            assert LETTERS[c] == "IXZY"[(x >> k & 1) | 2 * (z >> k & 1)]
 
 
 class TestEigenrays:
